@@ -59,8 +59,6 @@ from .propagate import (
 )
 from .spectral import coupling_matrix, decompose
 
-SOLVERS = ("exact", "dyson1", "dyson2", "numeric-rwa", "numeric-full")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -82,14 +80,14 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.solver not in SOLVERS:
+        if self.solver not in SOLVER_TABLE:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
-        if not self.t_max > 0:
-            raise ConfigError("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ConfigError("t_max must be positive and finite")
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(
             self, "omega", {(int(i), int(j)): float(w) for (i, j), w in self.omega.items()}
@@ -249,38 +247,40 @@ def _integrator_for(cfg: RunConfig, step_override=None, max_steps=None) -> Integ
     return IntegratorConfig(**kwargs)
 
 
+def _solve_exact(cfg: RunConfig, grid, step, max_steps):
+    return exact_evolution(cfg.levels, cfg.drive, cfg.psi0, grid)
+
+
+def _solve_dyson1(cfg: RunConfig, grid, step, max_steps):
+    if len(cfg.energies) != 3:
+        raise ConfigError("dyson1 uses the closed-form path and requires n = 3")
+    if not np.array_equal(cfg.psi0.amp, [1.0, 0.0, 0.0]):
+        raise ConfigError("dyson1 closed form starts from the ground state")
+    return approximate_solution_3(cfg.levels, cfg.drive, grid)
+
+
+def _solve_dyson2(cfg: RunConfig, grid, step, max_steps):
+    drive = cfg.drive
+    det = detunings(drive)
+    dyson_cfg = DysonConfig(order=2, quadrature_step=0.5 * max_quadrature_step(drive.g, det))
+    rot = dyson_state(drive.n, drive.g, det, cfg.psi0, grid, dyson_cfg)
+    return np.exp(-1j * np.multiply.outer(grid, rotating_frame_phases(drive))) * rot
+
+
+def _solve_numeric(cfg: RunConfig, grid, step, max_steps):
+    h_fn = (full_hamiltonian if cfg.rwa else full_hamiltonian_nonrwa)(cfg.levels, cfg.drive)
+    return integrate(h_fn, cfg.psi0, grid, _integrator_for(cfg, step, max_steps)).states
+
+
+# solver name -> fn(cfg, grid, step, max_steps) -> states, one row per grid time
+SOLVER_TABLE = {"exact": _solve_exact, "dyson1": _solve_dyson1, "dyson2": _solve_dyson2,
+                "numeric-rwa": _solve_numeric, "numeric-full": _solve_numeric}
+
+
 def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory:
-    """Dispatch a RunConfig to its solver and return the trajectory."""
-    levels, drive, psi0 = cfg.levels, cfg.drive, cfg.psi0
+    """Run cfg's solver once over the whole time grid and return the trajectory."""
     grid = np.linspace(0.0, cfg.t_max, cfg.samples)
-    if cfg.solver == "exact":
-        states = np.stack([exact_evolution(levels, drive, psi0, t).amp for t in grid])
-        return Trajectory(grid, states)
-    if cfg.solver == "dyson1":
-        if levels.n != 3:
-            raise ConfigError("dyson1 uses the closed-form path and requires n = 3")
-        if not np.array_equal(psi0.amp, [1.0, 0.0, 0.0]):
-            raise ConfigError("dyson1 closed form starts from the ground state")
-        states = np.stack([approximate_solution_3(levels, drive, t) for t in grid])
-        return Trajectory(grid, states)
-    if cfg.solver == "dyson2":
-        det = detunings(drive)
-        dyson_cfg = DysonConfig(order=2, quadrature_step=0.5 * max_quadrature_step(drive.g, det))
-        phases = rotating_frame_phases(drive)
-        states = []
-        for t in grid:
-            rot = dyson_state(levels.n, drive.g, det, psi0, t, dyson_cfg)
-            states.append(np.exp(-1j * phases * t) * rot)
-        return Trajectory(grid, np.stack(states))
-    if cfg.solver == "numeric-rwa":
-        return integrate(full_hamiltonian(levels, drive), psi0, grid,
-                         _integrator_for(cfg, step_override, max_steps))
-    if cfg.solver == "numeric-full":
-        return integrate(
-            full_hamiltonian_nonrwa(levels, drive), psi0, grid,
-            _integrator_for(cfg, step_override, max_steps),
-        )
-    raise ConfigError(f"unknown solver {cfg.solver!r}")
+    return Trajectory(grid, SOLVER_TABLE[cfg.solver](cfg, grid, step_override, max_steps))
 
 
 def _write_trajectory(traj: Trajectory, cfg: RunConfig):
@@ -328,13 +328,15 @@ def cmd_exact_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    solver_a, solver_b = args.solvers.split(",")
+    solvers = [name.strip() for name in args.solvers.split(",")]
+    if len(solvers) != 2:
+        raise ConfigError(f"--solvers takes exactly two names, got {args.solvers!r}")
     base = load_config(args.config, _flag_overrides(args))
-    traj_a = run_solver(replace(base, solver=solver_a.strip()), step_override=args.step)
-    traj_b = run_solver(replace(base, solver=solver_b.strip()), step_override=args.step)
+    traj_a, traj_b = (run_solver(replace(base, solver=name), args.step, args.max_steps)
+                      for name in solvers)
     report = compare(traj_a, traj_b)
     doc = {
-        "solvers": [solver_a.strip(), solver_b.strip()],
+        "solvers": solvers,
         "config": base.to_dict(),
         "report": report.to_dict(),
     }
@@ -363,7 +365,7 @@ def cmd_sweep(args) -> int:
         suffix = "json" if cfg.format == "json" else "csv"
         path = outdir / f"run_{idx:03d}.{suffix}"
         cfg = replace(cfg, output=str(path))
-        traj = run_solver(cfg, step_override=args.step)
+        traj = run_solver(cfg, args.step, args.max_steps)
         _write_trajectory(traj, cfg)
         return {"index": idx, "param": args.param, "value": value, "file": path.name,
                 "norm_drift": traj.norm_drift()}
@@ -391,7 +393,7 @@ def _flag_overrides(args) -> dict:
 
 def _add_run_flags(p):
     p.add_argument("config", help="INI configuration file")
-    p.add_argument("--solver", choices=SOLVERS)
+    p.add_argument("--solver", choices=SOLVER_TABLE)
     p.add_argument("--g", type=float, help="coupling constant override")
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--samples", type=int)

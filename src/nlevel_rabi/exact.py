@@ -23,7 +23,8 @@ from .model import (
     StateVector,
     detunings,
     is_resonant,
-    rotating_frame,
+    rotating_frame,  # unused: U(t)† is applied as phases; bench/spans.py traces this name
+    rotating_frame_phases,
 )
 
 __all__ = [
@@ -85,9 +86,12 @@ def exp_q(n: int, g: float, t: float) -> np.ndarray:
     return np.exp(1j * g * t) * (np.eye(n, dtype=complex) + coef * np.ones((n, n)))
 
 
-def exact_evolution(levels: LevelSpec, drive: DriveSpec, psi0: StateVector,
-                    t: float) -> StateVector:
+def exact_evolution(levels: LevelSpec, drive: DriveSpec, psi0: StateVector, t):
     """Lab-frame state U(t)† exp(-i*g*t*Q) psi0.
+
+    A 1-D ``t`` gives one state per row of a (len(t), n) array, a scalar
+    ``t`` a StateVector.  Neither matrix is formed: exp(-i*g*t*Q) psi0 is
+    e^{i*g*t} (psi0 + (e^{-i*n*g*t} - 1)/n * sum(psi0)), U(t)† is a phase.
 
     Requires the resonance conditions and the consistency condition; detuned
     configurations raise ConsistencyError with the offending pairs.
@@ -97,5 +101,8 @@ def exact_evolution(levels: LevelSpec, drive: DriveSpec, psi0: StateVector,
     report = check_consistency(detunings(drive), default_consistency_tol(drive))
     if not report.satisfied:
         raise ConsistencyError(report)
-    u_dag = np.conj(rotating_frame(drive, t))
-    return StateVector(u_dag @ exp_q(drive.n, drive.g, t) @ psi0.amp)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    coef = (np.exp(-1j * drive.n * drive.g * times) - 1.0) / drive.n
+    rot = np.exp(1j * drive.g * times)[:, None] * (psi0.amp + (coef * psi0.amp.sum())[:, None])
+    states = np.exp(-1j * np.multiply.outer(times, rotating_frame_phases(drive))) * rot
+    return states if np.ndim(t) else StateVector(states[0])

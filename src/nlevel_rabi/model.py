@@ -30,6 +30,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .spectral import coupling_matrix
+
 HamiltonianFn = Callable[[float], np.ndarray]
 
 __all__ = [
@@ -71,6 +73,8 @@ class LevelSpec:
         e = tuple(float(x) for x in self.energies)
         if len(e) < 2:
             raise ConfigError("need at least two levels")
+        if not np.all(np.isfinite(e)):
+            raise ConfigError("energies must be finite")
         if any(b <= a for a, b in zip(e, e[1:])):
             raise ConfigError("energies must be strictly increasing")
         object.__setattr__(self, "energies", tuple(x - e[0] for x in e))
@@ -102,16 +106,16 @@ class DriveSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("need at least two levels")
-        if not self.g > 0:
-            raise ConfigError("coupling g must be positive")
+        if not 0 < self.g < np.inf:
+            raise ConfigError("coupling g must be positive and finite")
         om = {(int(i), int(j)): float(w) for (i, j), w in dict(self.omega).items()}
         want = {(i, j) for i in range(self.n) for j in range(i + 1, self.n)}
         if set(om) != want:
             raise ConfigError(
                 "omega must hold exactly one frequency per pair (i, j) with i < j"
             )
-        if any(w <= 0 for w in om.values()):
-            raise ConfigError("drive frequencies must be positive")
+        if not all(0 < w < np.inf for w in om.values()):
+            raise ConfigError("drive frequencies must be positive and finite")
         object.__setattr__(self, "omega", om)
 
     @property
@@ -149,7 +153,7 @@ class StateVector:
         a = np.array(self.amp, dtype=complex)
         if a.ndim != 1 or len(a) < 2:
             raise ConfigError("state must be a vector of length >= 2")
-        if abs(np.linalg.norm(a) - 1.0) > _NORM_TOL:
+        if not abs(np.linalg.norm(a) - 1.0) <= _NORM_TOL:  # also refuses NaN
             raise ConfigError("state vector must have unit norm")
         a.flags.writeable = False
         object.__setattr__(self, "amp", a)
@@ -250,21 +254,9 @@ def transformed_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianF
     _check_match(levels, drive)
     if not drive.rwa:
         raise ConfigError("transformed_hamiltonian requires an RWA drive")
-    diag = levels.deltas - rotating_frame_phases(drive)
-    eps = detunings(drive).eps
-    g = drive.g
-    n = drive.n
-
-    def h(t: float) -> np.ndarray:
-        m = np.diag(diag.astype(complex))
-        for k in range(n - 1):
-            m[k, k + 1] = m[k + 1, k] = g
-        for (i, j), e in eps.items():
-            m[i, j] = g * np.exp(1j * e * t)
-            m[j, i] = np.conj(m[i, j])
-        return m
-
-    return h
+    diag = np.diag(levels.deltas - rotating_frame_phases(drive))
+    c, det = coupling_matrix(drive.n), detunings(drive)
+    return lambda t: diag + drive.g * (c + residual_coupling(det, t))
 
 
 def apply_resonance(levels: LevelSpec, g: float, *, rwa: bool = True,
@@ -296,12 +288,12 @@ def is_resonant(levels: LevelSpec, drive: DriveSpec, tol: float = 1e-12) -> bool
     return bool(np.all(np.abs(drive.adjacent - gaps) <= tol * scale))
 
 
-def residual_coupling(det: Detunings, t: float) -> np.ndarray:
-    """R(t): exp(+-i*eps_ij*t) on pairs with j - i >= 2, zeros elsewhere."""
-    r = np.zeros((det.n, det.n), dtype=complex)
+def residual_coupling(det: Detunings, t) -> np.ndarray:
+    """R(t): exp(+-i*eps_ij*t) on pairs j - i >= 2, else 0; shape t.shape + (n, n)."""
+    r = np.zeros(np.shape(t) + (det.n, det.n), dtype=complex)
     for (i, j), e in det.eps.items():
-        r[i, j] = np.exp(1j * e * t)
-        r[j, i] = np.conj(r[i, j])
+        r[..., i, j] = np.exp(1j * e * t)
+        r[..., j, i] = np.conj(r[..., i, j])
     return r
 
 
@@ -315,12 +307,8 @@ def split_c_r(levels: LevelSpec, drive: DriveSpec):
     _check_match(levels, drive)
     if not is_resonant(levels, drive):
         raise ConfigError("split requires the resonance conditions omega_j = E_j - E_{j-1}")
-    n = drive.n
-    c = np.zeros((n, n), dtype=int)
-    for k in range(n - 1):
-        c[k, k + 1] = c[k + 1, k] = 1
     det = detunings(drive)
-    return c, lambda t: residual_coupling(det, t)
+    return coupling_matrix(drive.n), lambda t: residual_coupling(det, t)
 
 
 def _check_match(levels: LevelSpec, drive: DriveSpec):

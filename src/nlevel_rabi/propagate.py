@@ -106,15 +106,12 @@ class Trajectory:
         header = ["t"]
         header += [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
         header += [f"p_{k}" for k in range(n)]
-        pops = self.populations
         fh.write(",".join(header) + "\n")
-        for i, t in enumerate(self.times):
-            row = [f"{t:.17g}"]
-            for k in range(n):
-                row.append(f"{self.states[i, k].real:.17g}")
-                row.append(f"{self.states[i, k].imag:.17g}")
-            row += [f"{p:.17g}" for p in pops[i]]
-            fh.write(",".join(row) + "\n")
+        # interleaved (re, im) pairs are the float64 view of the complex states
+        table = np.column_stack([self.times, self.states.view(float), self.populations])
+        line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        for block in np.split(table, range(256, len(table), 256)):  # bounds the text in memory
+            fh.write("".join([line % tuple(row) for row in block.tolist()]))
 
     def as_dict(self, config: dict | None = None) -> dict:
         return {

@@ -48,10 +48,7 @@ class SpectralDecomp:
 def coupling_matrix(n: int) -> np.ndarray:
     """The 0/1 tridiagonal coupling matrix C."""
     _check_n(n)
-    c = np.zeros((n, n), dtype=int)
-    for k in range(n - 1):
-        c[k, k + 1] = c[k + 1, k] = 1
-    return c
+    return np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
 
 
 def char_poly(n: int, lam: float) -> float:
@@ -88,8 +85,8 @@ def decompose(n: int) -> SpectralDecomp:
     return SpectralDecomp(n=n, eigenvalues=eigenvalues(n), basis=o)
 
 
-def exp_c(n: int, g: float, t: float, method: str = "eigen") -> np.ndarray:
-    """The unitary exp(-i*g*t*C).
+def exp_c(n: int, g: float, t, method: str = "eigen") -> np.ndarray:
+    """The unitary exp(-i*g*t*C); a 1-D ``t`` gives a stack (len(t), n, n).
 
     ``method="eigen"`` computes O exp(-i*g*t*D) O^T; ``method="components"``
     evaluates the explicit component sum
@@ -98,13 +95,12 @@ def exp_c(n: int, g: float, t: float, method: str = "eigen") -> np.ndarray:
     _check_n(n)
     if method == "eigen":
         dec = decompose(n)
-        phase = np.exp(-1j * g * t * dec.eigenvalues)
-        return (dec.basis * phase) @ dec.basis.T
+        phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), dec.eigenvalues))
+        return (dec.basis * phase[..., None, :]) @ dec.basis.T
     if method == "components":
         s = np.sin(_sine_args(n))
-        lam = eigenvalues(n)
-        phase = np.exp(-1j * g * t * lam)
-        return (2.0 / (n + 1)) * np.einsum("jl,l,kl->jk", s, phase, s)
+        phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), eigenvalues(n)))
+        return (2.0 / (n + 1)) * np.einsum("jl,...l,kl->...jk", s, phase, s)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -203,3 +203,30 @@ def test_run_config_validation():
             energies=(0.0, 1.0), g=0.1, omega={(0, 1): 1.0}, solver="exact",
             t_max=1.0, samples=1, initial=(1.0, 0.0),
         )
+
+
+@pytest.mark.parametrize("solvers", ["exact,numeric-rwa,dyson1", "exact"])
+def test_compare_needs_exactly_two_solvers(tmp_path, capsys, solvers):
+    cfg = write_config(tmp_path)
+    assert main(["compare", cfg, "--solvers", solvers]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+
+
+def test_compare_honours_step_budget(tmp_path):
+    cfg = write_config(tmp_path, t_max="1.0", samples="2")
+    assert main(["compare", cfg, "--solvers", "exact,numeric-rwa",
+                 "--step", "1e-5", "--max-steps", "100"]) == 4
+
+
+def test_sweep_honours_step_budget(tmp_path):
+    cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.0", samples="2")
+    assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.05,0.1",
+                 "--outdir", str(tmp_path / "sweep"), "--jobs", "1",
+                 "--step", "1e-5", "--max-steps", "100"]) == 4
+
+
+def test_infinite_t_max_exits_2(tmp_path):
+    cfg = write_config(tmp_path, t_max="inf")
+    assert main(["evolve", cfg]) == 2

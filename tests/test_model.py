@@ -54,6 +54,29 @@ def test_state_vector_norm_check():
     np.testing.assert_allclose(StateVector.basis(3, 1).populations(), [0, 1, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_level_spec_rejects_non_finite(bad):
+    with pytest.raises(ConfigError):
+        LevelSpec((0.0, bad, 2.0))
+    with pytest.raises(ConfigError):
+        LevelSpec((0.0, 1.0, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_drive_spec_rejects_non_finite(bad):
+    with pytest.raises(ConfigError):
+        DriveSpec(n=2, omega={(0, 1): 1.0}, g=bad)
+    with pytest.raises(ConfigError):
+        DriveSpec(n=2, omega={(0, 1): bad}, g=0.1)
+
+
+def test_state_vector_rejects_nan():
+    with pytest.raises(ConfigError):
+        StateVector(np.array([np.nan, 0.0]))
+    with pytest.raises(ConfigError):
+        StateVector(np.array([1.0, np.inf]))
+
+
 def test_build_h0():
     np.testing.assert_array_equal(build_h0(LevelSpec((0.0, 1.0))), np.diag([0.0, 1.0]))
     np.testing.assert_allclose(
