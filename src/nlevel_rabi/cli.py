@@ -47,7 +47,7 @@ from .model import (
     detunings,
     full_hamiltonian,
     full_hamiltonian_nonrwa,
-    rotating_frame_phases,
+    to_lab_frame,
 )
 from .propagate import (
     IntegratorConfig,
@@ -98,11 +98,7 @@ class RunConfig:
             raise ConfigError("initial state must be nonzero")
         object.__setattr__(self, "initial", tuple(complex(z) for z in amp / norm))
 
-    # eq on frozen dataclass works because all fields are hashable scalars/tuples
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
+    __hash__ = None  # omega is a dict
 
     @property
     def levels(self) -> LevelSpec:
@@ -263,8 +259,7 @@ def _solve_dyson2(cfg: RunConfig, grid, step, max_steps):
     drive = cfg.drive
     det = detunings(drive)
     dyson_cfg = DysonConfig(order=2, quadrature_step=0.5 * max_quadrature_step(drive.g, det))
-    rot = dyson_state(drive.n, drive.g, det, cfg.psi0, grid, dyson_cfg)
-    return np.exp(-1j * np.multiply.outer(grid, rotating_frame_phases(drive))) * rot
+    return to_lab_frame(drive, grid, dyson_state(drive.n, drive.g, det, cfg.psi0, grid, dyson_cfg))
 
 
 def _solve_numeric(cfg: RunConfig, grid, step, max_steps):
@@ -348,14 +343,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+# the keys load_config honours as overrides; each override is named by the part after the dot
+SWEEP_KEYS = ("drive.g", "run.t_max", "run.samples", "run.initial", "run.solver", "run.format")
+
+
 def cmd_sweep(args) -> int:
+    if args.param not in SWEEP_KEYS:
+        raise ConfigError(f"cannot sweep {args.param!r}; sweepable keys: {', '.join(SWEEP_KEYS)}")
     base = load_config(args.config, _flag_overrides(args))
     values = _parse_float_list(args.values)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    section, _, key = args.param.partition(".")
-    if not key:
-        raise ConfigError("sweep parameter must look like 'drive.g' or 'run.t_max'")
+    key = args.param.partition(".")[2]
 
     def one(idx_value):
         idx, value = idx_value

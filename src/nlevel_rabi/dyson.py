@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, Detunings, DriveSpec, LevelSpec, StateVector
-from .model import detunings, is_resonant, residual_coupling, rotating_frame_phases
+from .model import detunings, is_resonant, residual_coupling, to_lab_frame
 from .spectral import exp_c
 
 __all__ = [
@@ -224,5 +224,4 @@ def approximate_solution_3(levels: LevelSpec, drive: DriveSpec, t) -> np.ndarray
     if not is_resonant(levels, drive):
         raise ConfigError("first-order solution requires the resonance conditions")
     eps = detunings(drive).eps[(0, 2)]
-    x = first_order_state_3(drive.g, eps, t)
-    return np.exp(-1j * np.multiply.outer(t, rotating_frame_phases(drive))) * x
+    return to_lab_frame(drive, t, first_order_state_3(drive.g, eps, t))

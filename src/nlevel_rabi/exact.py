@@ -24,7 +24,7 @@ from .model import (
     detunings,
     is_resonant,
     rotating_frame,  # unused: U(t)† is applied as phases; bench/spans.py traces this name
-    rotating_frame_phases,
+    to_lab_frame,
 )
 
 __all__ = [
@@ -104,5 +104,5 @@ def exact_evolution(levels: LevelSpec, drive: DriveSpec, psi0: StateVector, t):
     times = np.atleast_1d(np.asarray(t, dtype=float))
     coef = (np.exp(-1j * drive.n * drive.g * times) - 1.0) / drive.n
     rot = np.exp(1j * drive.g * times)[:, None] * (psi0.amp + (coef * psi0.amp.sum())[:, None])
-    states = np.exp(-1j * np.multiply.outer(times, rotating_frame_phases(drive))) * rot
+    states = to_lab_frame(drive, times, rot)
     return states if np.ndim(t) else StateVector(states[0])

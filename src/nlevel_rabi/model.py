@@ -26,6 +26,7 @@ functions of t, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "full_hamiltonian",
     "full_hamiltonian_nonrwa",
     "rotating_frame",
+    "to_lab_frame",
     "transformed_hamiltonian",
     "apply_resonance",
     "is_resonant",
@@ -109,8 +111,7 @@ class DriveSpec:
         if not 0 < self.g < np.inf:
             raise ConfigError("coupling g must be positive and finite")
         om = {(int(i), int(j)): float(w) for (i, j), w in dict(self.omega).items()}
-        want = {(i, j) for i in range(self.n) for j in range(i + 1, self.n)}
-        if set(om) != want:
+        if set(om) != set(_pairs(self.n)):
             raise ConfigError(
                 "omega must hold exactly one frequency per pair (i, j) with i < j"
             )
@@ -185,15 +186,50 @@ def build_h0(levels: LevelSpec) -> np.ndarray:
     return np.diag(levels.deltas)
 
 
-def build_interaction_rwa(drive: DriveSpec, t: float) -> np.ndarray:
-    """RWA interaction V(t): V_ij = exp(i*omega_ij*t) for i < j, Hermitian."""
+def _pairs(n: int) -> list:
+    """The n(n-1)/2 level pairs (i, j), i < j, row by row: np.triu_indices(n, 1) order."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@lru_cache
+def _mirror_index(n: int) -> np.ndarray:
+    """Source of each entry of a flattened n x n matrix in (upper, conj(upper)).
+
+    Entry (i, j) of the p-th pair takes upper[p], entry (j, i) its conjugate;
+    diagonal entries point at 0 and are overwritten.
+    """
+    i, j = np.array(_pairs(n)).T
+    index = np.zeros(n * n, dtype=np.intp)
+    index[i * n + j] = np.arange(len(i))
+    index[j * n + i] = np.arange(len(i)) + len(i)
+    index.flags.writeable = False  # cached: every caller shares this array
+    return index
+
+
+def _hermitian(diag: np.ndarray, upper) -> np.ndarray:
+    """diag(diag) plus ``upper`` on the pairs i < j and its conjugate on j > i.
+
+    ``upper`` holds one value per pair in ``_pairs`` order on its last axis; its
+    leading (time) axes carry over, giving shape upper.shape[:-1] + (n, n).
+    """
+    n = len(diag)
+    both = np.concatenate((upper, upper.conj()), axis=-1, dtype=complex)
+    m = both.take(_mirror_index(n), axis=-1)
+    m[..., :: n + 1] = diag
+    return m.reshape(upper.shape[:-1] + (n, n))
+
+
+def _pair_frequencies(drive: DriveSpec) -> np.ndarray:
+    """omega_ij in ``_pairs`` order."""
+    return np.array([drive.omega[ij] for ij in _pairs(drive.n)])
+
+
+def build_interaction_rwa(drive: DriveSpec, t) -> np.ndarray:
+    """RWA interaction V(t): V_ij = exp(i*omega_ij*t) for i < j, Hermitian; t.shape + (n, n)."""
     if not drive.rwa:
         raise ConfigError("RWA interaction requested with rwa=False")
-    v = np.zeros((drive.n, drive.n), dtype=complex)
-    for (i, j), w in drive.omega.items():
-        v[i, j] = np.exp(1j * w * t)
-        v[j, i] = np.conj(v[i, j])
-    return v
+    iw = 1j * _pair_frequencies(drive)
+    return _hermitian(np.zeros(drive.n), np.exp(np.multiply.outer(t, iw)))
 
 
 def full_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
@@ -201,9 +237,8 @@ def full_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
     _check_match(levels, drive)
     if not drive.rwa:
         raise ConfigError("full_hamiltonian requires an RWA drive")
-    h0 = build_h0(levels).astype(complex)
-    g = drive.g
-    return lambda t: h0 + g * build_interaction_rwa(drive, t)
+    diag, iw, g = levels.deltas, 1j * _pair_frequencies(drive), drive.g
+    return lambda t: _hermitian(diag, g * np.exp(np.multiply.outer(t, iw)))
 
 
 def full_hamiltonian_nonrwa(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
@@ -211,23 +246,8 @@ def full_hamiltonian_nonrwa(levels: LevelSpec, drive: DriveSpec) -> HamiltonianF
     _check_match(levels, drive)
     if drive.rwa:
         raise ConfigError("full_hamiltonian_nonrwa requires rwa=False")
-    h0 = build_h0(levels).astype(complex)
-    g = drive.g
-    pairs = list(drive.omega.items())
-
-    def h(t: float) -> np.ndarray:
-        m = h0.copy()
-        for (i, j), w in pairs:
-            m[i, j] = m[j, i] = g * np.cos(w * t)
-        return m
-
-    return h
-
-
-def rotating_frame(drive: DriveSpec, t: float) -> np.ndarray:
-    """Diagonal frame unitary U(t) = diag(1, e^{i*omega_1*t}, e^{i(omega_1+omega_2)t}, ...)."""
-    phases = np.concatenate(([0.0], np.cumsum(drive.adjacent))) * t
-    return np.diag(np.exp(1j * phases))
+    diag, w, g = levels.deltas, _pair_frequencies(drive), drive.g
+    return lambda t: _hermitian(diag, g * np.cos(np.multiply.outer(t, w)))
 
 
 def rotating_frame_phases(drive: DriveSpec) -> np.ndarray:
@@ -235,13 +255,21 @@ def rotating_frame_phases(drive: DriveSpec) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(drive.adjacent)))
 
 
+def rotating_frame(drive: DriveSpec, t: float) -> np.ndarray:
+    """Diagonal frame unitary U(t) = diag(1, e^{i*omega_1*t}, e^{i(omega_1+omega_2)t}, ...)."""
+    return np.diag(np.exp(1j * np.multiply.outer(t, rotating_frame_phases(drive))))
+
+
+def to_lab_frame(drive: DriveSpec, t, states) -> np.ndarray:
+    """Lab-frame states U(t)† psi of rotating-frame ``states``, one row per time of ``t``."""
+    return np.exp(-1j * np.multiply.outer(t, rotating_frame_phases(drive))) * states
+
+
 def detunings(drive: DriveSpec) -> Detunings:
     """Detunings eps_{ij} of non-adjacent drives against the adjacent chain."""
     adj = drive.adjacent
-    eps = {}
-    for i in range(drive.n):
-        for j in range(i + 2, drive.n):
-            eps[(i, j)] = drive.omega[(i, j)] - float(adj[i:j].sum())
+    eps = {(i, j): drive.omega[(i, j)] - float(adj[i:j].sum())
+           for i, j in _pairs(drive.n) if j - i >= 2}
     return Detunings(drive.n, eps)
 
 
@@ -268,10 +296,7 @@ def apply_resonance(levels: LevelSpec, g: float, *, rwa: bool = True,
     specific pairs.
     """
     e = levels.deltas
-    omega = {(k - 1, k): float(e[k] - e[k - 1]) for k in range(1, levels.n)}
-    for i in range(levels.n):
-        for j in range(i + 2, levels.n):
-            omega[(i, j)] = float(e[j] - e[i])
+    omega = {(i, j): float(e[j] - e[i]) for i, j in _pairs(levels.n)}
     if nonadjacent:
         for (i, j), w in dict(nonadjacent).items():
             if j - i < 2:
@@ -289,12 +314,12 @@ def is_resonant(levels: LevelSpec, drive: DriveSpec, tol: float = 1e-12) -> bool
 
 
 def residual_coupling(det: Detunings, t) -> np.ndarray:
-    """R(t): exp(+-i*eps_ij*t) on pairs j - i >= 2, else 0; shape t.shape + (n, n)."""
-    r = np.zeros(np.shape(t) + (det.n, det.n), dtype=complex)
-    for (i, j), e in det.eps.items():
-        r[..., i, j] = np.exp(1j * e * t)
-        r[..., j, i] = np.conj(r[..., i, j])
-    return r
+    """R(t): exp(+-i*eps_ij*t) on the detuned pairs (j - i >= 2), else 0; t.shape + (n, n)."""
+    pairs = _pairs(det.n)
+    on = [p for p, ij in enumerate(pairs) if ij in det.eps]
+    upper = np.zeros(np.shape(t) + (len(pairs),), dtype=complex)
+    upper[..., on] = np.exp(np.multiply.outer(t, 1j * np.array([det.eps[pairs[p]] for p in on])))
+    return _hermitian(np.zeros(det.n), upper)
 
 
 def split_c_r(levels: LevelSpec, drive: DriveSpec):

@@ -48,18 +48,14 @@ class NormRangeError(ValueError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """RK4 settings: base step, local error target, and a total work bound."""
+    """RK4 settings: the fixed step and a total work bound."""
 
     step: float = 1e-3
-    tol: float = 1e-9
     max_steps: int = 10_000_000
-    adaptive: bool = False
 
     def __post_init__(self):
         if not self.step > 0:
             raise ConfigError("step must be positive")
-        if not (0 < self.tol <= 1e-3):
-            raise ConfigError("tol must lie in (0, 1e-3]")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be positive")
 
@@ -146,9 +142,8 @@ def _rk4_step(h_fn: HamiltonianFn, t: float, psi: np.ndarray, h: float) -> np.nd
 def integrate(h_fn: HamiltonianFn, psi0: StateVector, t_grid, cfg: IntegratorConfig) -> Trajectory:
     """Integrate i dPsi/dt = H(t) Psi over an increasing grid starting at 0.
 
-    Steps land exactly on every grid point (the step is clipped, never
-    interpolated).  With ``adaptive`` set, each step is checked by step
-    doubling and halved until the local error estimate meets ``tol``.
+    Fixed steps of ``cfg.step``; the step before each grid point is clipped so
+    that it lands there exactly (never interpolated).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -164,34 +159,15 @@ def integrate(h_fn: HamiltonianFn, psi0: StateVector, t_grid, cfg: IntegratorCon
         while t < target:
             rem = target - t
             h = rem if rem <= cfg.step * (1.0 + 1e-12) else cfg.step
-            exact_hit = h == rem
-            if cfg.adaptive:
-                psi_new, h, used = _adaptive_step(h_fn, t, psi, h, cfg.tol)
-                exact_hit = h == rem
-            else:
-                psi_new, used = _rk4_step(h_fn, t, psi, h), 1
-            steps_used += used
+            psi = _rk4_step(h_fn, t, psi, h)
+            steps_used += 1
             if steps_used > cfg.max_steps:
                 raise StepBudgetExceeded(Trajectory(t_grid[: len(states)], np.array(states)))
-            if not np.all(np.isfinite(psi_new)):
+            if not np.all(np.isfinite(psi)):
                 raise NumericFailure(f"non-finite state at t = {t:.6g}")
-            psi = psi_new
-            t = target if exact_hit else t + h
+            t = target if h == rem else t + h
         states.append(psi.copy())
     return Trajectory(t_grid, np.array(states))
-
-
-def _adaptive_step(h_fn, t, psi, h, tol):
-    used = 0
-    while True:
-        full = _rk4_step(h_fn, t, psi, h)
-        half = _rk4_step(h_fn, t, psi, 0.5 * h)
-        half = _rk4_step(h_fn, t + 0.5 * h, half, 0.5 * h)
-        used += 3
-        err = float(np.max(np.abs(half - full)))
-        if err <= tol or h <= 1e-14 * max(1.0, abs(t)):
-            return half, h, used  # h is the step actually taken
-        h *= 0.5
 
 
 def expm_generic(m: np.ndarray) -> np.ndarray:

@@ -230,3 +230,42 @@ def test_sweep_honours_step_budget(tmp_path):
 def test_infinite_t_max_exits_2(tmp_path):
     cfg = write_config(tmp_path, t_max="inf")
     assert main(["evolve", cfg]) == 2
+
+
+@pytest.mark.parametrize("param", ["drive.omega_0_2", "levels.g", "run.g", "drive.t_max",
+                                   "run.output", "g"])
+def test_sweep_refuses_keys_it_would_ignore(tmp_path, capsys, param):
+    cfg = write_config(tmp_path, samples="3", t_max="2.0")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", param, "--values", "2.0,2.5",
+                 "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("param, values, column", [("run.t_max", "1.0,2.0", 0),
+                                                   ("run.samples", "3,4", None)])
+def test_sweep_honours_run_keys(tmp_path, param, values, column):
+    cfg = write_config(tmp_path, samples="3", t_max="2.0")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", param, "--values", values,
+                 "--outdir", str(outdir), "--jobs", "1"]) == 0
+    a, b = (np.loadtxt(outdir / f"run_{k:03d}.csv", delimiter=",", skiprows=1) for k in (0, 1))
+    if column is None:
+        assert (len(a), len(b)) == (3, 4)
+    else:
+        assert (a[-1, column], b[-1, column]) == (1.0, 2.0)
+
+
+def test_run_config_equality_is_field_wise_and_unhashable(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    assert cfg == RunConfig.from_dict(cfg.to_dict())
+    from dataclasses import replace
+
+    assert cfg != replace(cfg, g=0.2)
+    assert cfg != replace(cfg, omega={**cfg.omega, (0, 2): 2.5})
+    # omega is a dict, so a RunConfig has no hash
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cfg)
