@@ -166,8 +166,21 @@ def _parse_initial(text: str, n: int):
     return amps
 
 
+# run key -> (INI section, fallback text or None if the file must give the key, parse);
+# flag overrides and sweep values are text, parsed the same way as the file's value
+RUN_KEYS = {
+    "g": ("drive", None, float),
+    "solver": ("run", "numeric-rwa", str),
+    "t_max": ("run", None, float),
+    "samples": ("run", "101", int),
+    "initial": ("run", "0", str),  # level index or amplitude list, resolved once n is known
+    "output": ("run", "", lambda text: text or None),  # None writes to stdout
+    "format": ("run", "csv", str),
+}
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse the INI config, apply flag overrides, resolve frequencies."""
+    """Parse the INI config, apply overrides (run key -> text), resolve frequencies."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
@@ -175,19 +188,18 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     ov = overrides or {}
     try:
         energies = tuple(_parse_float_list(parser.get("levels", "energies")))
-        g = float(ov.get("g", parser.get("drive", "g")))
+        levels = LevelSpec(energies)
         mode = parser.get("drive", "frequencies", fallback="resonant").strip().lower()
-        solver = str(ov.get("solver", parser.get("run", "solver", fallback="numeric-rwa")))
-        t_max = float(ov.get("t_max", parser.get("run", "t_max")))
-        samples = int(ov.get("samples", parser.get("run", "samples", fallback="101")))
-        initial_text = str(ov.get("initial", parser.get("run", "initial", fallback="0")))
-        output = ov.get("output", parser.get("run", "output", fallback=None))
-        fmt = str(ov.get("format", parser.get("run", "format", fallback="csv")))
+        run = {}
+        for key, (section, fallback, parse) in RUN_KEYS.items():
+            text = ov.get(key, parser.get(section, key, fallback=fallback))
+            if text is None:
+                raise ConfigError(f"missing key {key!r} in section [{section}]")
+            run[key] = parse(text)
+        run["initial"] = _parse_initial(run["initial"], levels.n)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    levels = LevelSpec(energies)
-    n = levels.n
     pair_keys = {}
     for key, value in parser.items("drive"):
         if key.startswith("omega_"):
@@ -201,7 +213,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         mode = "resonant"
         pair_keys = {ij: w for ij, w in pair_keys.items() if ij[1] - ij[0] >= 2}
     if "epsilon" in ov:
-        if n != 3:
+        if levels.n != 3:
             raise ConfigError("--epsilon is the n=3 detuning knob")
         mode = "resonant"
         e = levels.deltas
@@ -209,24 +221,14 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     if mode == "resonant":
         nonadj = {ij: w for ij, w in pair_keys.items() if ij[1] - ij[0] >= 2}
-        drive = apply_resonance(levels, g, nonadjacent=nonadj)
+        drive = apply_resonance(levels, run["g"], nonadjacent=nonadj)
         omega = dict(drive.omega)
     elif mode == "explicit":
         omega = pair_keys
     else:
         raise ConfigError("frequencies must be 'resonant' or 'explicit'")
 
-    return RunConfig(
-        energies=energies,
-        g=g,
-        omega=omega,
-        solver=solver,
-        t_max=t_max,
-        samples=samples,
-        initial=_parse_initial(initial_text, n),
-        output=output,
-        format=fmt,
-    )
+    return RunConfig(energies=energies, omega=omega, **run)
 
 
 def _integrator_for(cfg: RunConfig, step_override=None, max_steps=None) -> IntegratorConfig:
@@ -236,7 +238,7 @@ def _integrator_for(cfg: RunConfig, step_override=None, max_steps=None) -> Integ
         cfg.g,
         1.0,
     )
-    step = step_override if step_override else min(1e-3, 0.1 / scale)
+    step = step_override if step_override is not None else min(1e-3, 0.1 / scale)
     kwargs = {"step": step}
     if max_steps is not None:
         kwargs["max_steps"] = max_steps
@@ -312,8 +314,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_exact_check(args) -> int:
     cfg = load_config(args.config, _flag_overrides(args))
-    drive = DriveSpec(n=len(cfg.energies), omega=cfg.omega, g=cfg.g, rwa=True)
-    report = check_consistency(detunings(drive), default_consistency_tol(drive))
+    report = check_consistency(detunings(cfg.drive), default_consistency_tol(cfg.drive))
     doc = {
         "satisfied": report.satisfied,
         "violations": [{"pair": list(ij), "epsilon": v} for ij, v in report.violations],
@@ -343,34 +344,33 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-# the keys load_config honours as overrides; each override is named by the part after the dot
-SWEEP_KEYS = ("drive.g", "run.t_max", "run.samples", "run.initial", "run.solver", "run.format")
+# section.key for every run key but output, which a sweep sets per run
+SWEEP_KEYS = tuple(f"{sec}.{key}" for key, (sec, *_) in RUN_KEYS.items() if key != "output")
 
 
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_KEYS:
         raise ConfigError(f"cannot sweep {args.param!r}; sweepable keys: {', '.join(SWEEP_KEYS)}")
-    base = load_config(args.config, _flag_overrides(args))
-    values = _parse_float_list(args.values)
+    flags = _flag_overrides(args)
+    base = load_config(args.config, flags)
+    key = args.param.partition(".")[2]
+    # every value is resolved, and so refused, before anything is written
+    cfgs = [load_config(args.config, {**flags, key: text})
+            for text in args.values.replace(",", " ").split()]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    key = args.param.partition(".")[2]
 
-    def one(idx_value):
-        idx, value = idx_value
-        overrides = dict(_flag_overrides(args))
-        overrides[key] = value
-        cfg = load_config(args.config, overrides)
-        suffix = "json" if cfg.format == "json" else "csv"
-        path = outdir / f"run_{idx:03d}.{suffix}"
+    def one(idx_cfg):
+        idx, cfg = idx_cfg
+        path = outdir / f"run_{idx:03d}.{cfg.format}"
         cfg = replace(cfg, output=str(path))
         traj = run_solver(cfg, args.step, args.max_steps)
         _write_trajectory(traj, cfg)
-        return {"index": idx, "param": args.param, "value": value, "file": path.name,
-                "norm_drift": traj.norm_drift()}
+        return {"index": idx, "param": args.param, "value": cfg.to_dict()[key],
+                "file": path.name, "norm_drift": traj.norm_drift()}
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        entries = list(pool.map(one, enumerate(values)))
+        entries = list(pool.map(one, enumerate(cfgs)))
     manifest = {"config": base.to_dict(), "param": args.param, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"# wrote {len(entries)} runs to {outdir}", file=sys.stderr)
@@ -378,11 +378,7 @@ def cmd_sweep(args) -> int:
 
 
 def _flag_overrides(args) -> dict:
-    ov = {}
-    for name in ("solver", "g", "t_max", "samples", "initial", "output", "format"):
-        value = getattr(args, name, None)
-        if value is not None:
-            ov[name] = value
+    ov = {key: getattr(args, key) for key in RUN_KEYS if getattr(args, key) is not None}
     if getattr(args, "resonant", False):
         ov["resonant"] = True
     if getattr(args, "epsilon", None) is not None:
@@ -392,13 +388,13 @@ def _flag_overrides(args) -> dict:
 
 def _add_run_flags(p):
     p.add_argument("config", help="INI configuration file")
-    p.add_argument("--solver", choices=SOLVER_TABLE)
-    p.add_argument("--g", type=float, help="coupling constant override")
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--solver", help=" | ".join(SOLVER_TABLE))
+    p.add_argument("--g", help="coupling constant override")
+    p.add_argument("--t-max", dest="t_max")
+    p.add_argument("--samples")
     p.add_argument("--initial", help="level index or amplitude list")
     p.add_argument("--output", "-o")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", help="csv | json")
     p.add_argument("--step", type=float, help="integrator step override")
     p.add_argument("--max-steps", dest="max_steps", type=int,
                    help="integrator step budget override")

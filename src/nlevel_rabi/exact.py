@@ -11,7 +11,7 @@ so the lab-frame solution is Psi(t) = U(t)† exp(-i*g*t*Q) Psi(0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,11 @@ __all__ = [
 class ConsistencyReport:
     """Which detunings, if any, exceed the tolerance."""
 
-    satisfied: bool
-    violations: tuple = field(default_factory=tuple)
+    violations: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-        if self.satisfied != (len(self.violations) == 0):
-            raise ValueError("satisfied flag disagrees with violation list")
+    @property
+    def satisfied(self) -> bool:
+        return not self.violations
 
 
 class ConsistencyError(ConfigError):
@@ -70,7 +68,7 @@ def check_consistency(det: Detunings, tol: float) -> ConsistencyReport:
     violations = tuple(
         (ij, v) for ij, v in sorted(det.eps.items()) if abs(v) > tol
     )
-    return ConsistencyReport(satisfied=not violations, violations=violations)
+    return ConsistencyReport(violations)
 
 
 def default_consistency_tol(drive: DriveSpec) -> float:

@@ -112,10 +112,8 @@ class Trajectory:
     def as_dict(self, config: dict | None = None) -> dict:
         return {
             "config": config or {},
-            "times": [float(t) for t in self.times],
-            "states": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.states
-            ],
+            "times": self.times.tolist(),
+            "states": self.states.view(float).reshape(*self.states.shape, 2).tolist(),
             "populations": self.populations.tolist(),
         }
 

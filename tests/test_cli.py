@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nlevel_rabi.cli import RunConfig, load_config, main, run_solver
+from nlevel_rabi.cli import (RUN_KEYS, SOLVER_TABLE, SWEEP_KEYS, RunConfig, build_parser,
+                              load_config, main, run_solver)
 from nlevel_rabi.model import ConfigError
 
 
@@ -269,3 +270,59 @@ def test_run_config_equality_is_field_wise_and_unhashable(tmp_path):
     # omega is a dict, so a RunConfig has no hash
     with pytest.raises(TypeError, match="unhashable"):
         hash(cfg)
+
+
+# two values per sweepable key: text as given to --values, and the values the manifest records
+SWEEP_CASES = {
+    "drive.g": ("0.05,0.1", [0.05, 0.1]),
+    "run.t_max": ("1.0 2.0", [1.0, 2.0]),
+    "run.samples": ("3,4", [3, 4]),
+    "run.initial": ("0,1", [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]),
+    "run.solver": ("exact,numeric-rwa", ["exact", "numeric-rwa"]),
+    "run.format": ("csv,json", ["csv", "json"]),
+}
+
+
+@pytest.mark.parametrize("param", SWEEP_KEYS)
+def test_every_sweep_key_takes_valid_values(tmp_path, param):
+    values, recorded = SWEEP_CASES[param]
+    cfg = write_config(tmp_path, samples="3", t_max="2.0")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", param, "--values", values,
+                 "--outdir", str(outdir), "--jobs", "2"]) == 0
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert json.dumps([r["value"] for r in runs]) == json.dumps(recorded)
+    for r in runs:
+        assert (outdir / r["file"]).exists()
+    if param == "run.format":
+        assert [r["file"] for r in runs] == ["run_000.csv", "run_001.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "drive.g", "--values", "0.1,abc", "--outdir", "{out}"],
+    ["evolve", "--g", "abc"],
+    ["evolve", "--samples", "2.5"],
+    ["evolve", "--solver", "foo"],
+    ["evolve", "--format", "xml"],
+    ["evolve", "--initial", "abc"],
+    ["evolve", "--solver", "numeric-rwa", "--step", "0"],
+], ids=["sweep-values", "g", "samples", "solver", "format", "initial", "step"])
+def test_bad_flag_or_sweep_value_exits_2_with_one_json_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, samples="3", t_max="2.0")
+    outdir = tmp_path / "sweep"
+    argv = [argv[0], cfg] + [a.replace("{out}", str(outdir)) for a in argv[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+    assert not outdir.exists()
+
+
+def test_run_key_table_matches_the_flags(capsys):
+    assert set(RUN_KEYS) <= set(vars(build_parser().parse_args(["evolve", "run.ini"])))
+    with pytest.raises(SystemExit):
+        main(["evolve", "--help"])
+    help_text = capsys.readouterr().out
+    for solver in SOLVER_TABLE:
+        assert solver in help_text

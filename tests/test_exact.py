@@ -3,6 +3,7 @@ import pytest
 
 from nlevel_rabi.exact import (
     ConsistencyError,
+    ConsistencyReport,
     check_consistency,
     default_consistency_tol,
     exact_evolution,
@@ -24,6 +25,11 @@ def test_check_consistency_satisfied():
     det = detunings(apply_resonance(lev, g=0.1))
     report = check_consistency(det, tol=1e-12)
     assert report.satisfied and not report.violations
+
+
+def test_consistency_report_satisfied_follows_violations():
+    assert ConsistencyReport().satisfied
+    assert not ConsistencyReport(violations=(((0, 2), 0.5),)).satisfied
 
 
 def test_check_consistency_violation():

@@ -211,6 +211,21 @@ def test_trajectory_json_carries_config(tmp_path):
     assert doc["populations"][0] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_trajectory_json_matches_per_element_reference(n):
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+    states[0, 0] = complex(-0.0, 0.0)
+    traj = Trajectory(np.linspace(0.0, 3.0, 7), states)
+    reference = {
+        "config": {},
+        "times": [float(t) for t in traj.times],
+        "states": [[[float(z.real), float(z.imag)] for z in row] for row in traj.states],
+        "populations": traj.populations.tolist(),
+    }
+    assert json.dumps(traj.as_dict(), indent=2) == json.dumps(reference, indent=2)
+
+
 def test_rwa_vs_cosine_drive_weak_coupling():
     # Delta = omega = 20, RWA g = 0.05 (cosine amplitude 0.1): populations
     # agree loosely over one Rabi period
