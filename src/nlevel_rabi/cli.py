@@ -47,6 +47,7 @@ from .model import (
     detunings,
     full_hamiltonian,
     full_hamiltonian_nonrwa,
+    is_resonant,
     to_lab_frame,
 )
 from .propagate import (
@@ -166,19 +167,6 @@ def _parse_initial(text: str, n: int):
     return amps
 
 
-# run key -> (INI section, fallback text or None if the file must give the key, parse);
-# flag overrides and sweep values are text, parsed the same way as the file's value
-RUN_KEYS = {
-    "g": ("drive", None, float),
-    "solver": ("run", "numeric-rwa", str),
-    "t_max": ("run", None, float),
-    "samples": ("run", "101", int),
-    "initial": ("run", "0", str),  # level index or amplitude list, resolved once n is known
-    "output": ("run", "", lambda text: text or None),  # None writes to stdout
-    "format": ("run", "csv", str),
-}
-
-
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse the INI config, apply overrides (run key -> text), resolve frequencies."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -191,38 +179,30 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         levels = LevelSpec(energies)
         mode = parser.get("drive", "frequencies", fallback="resonant").strip().lower()
         run = {}
-        for key, (section, fallback, parse) in RUN_KEYS.items():
+        for key, (section, fallback, parse, _) in RUN_KEYS.items():
             text = ov.get(key, parser.get(section, key, fallback=fallback))
             if text is None:
                 raise ConfigError(f"missing key {key!r} in section [{section}]")
             run[key] = parse(text)
         run["initial"] = _parse_initial(run["initial"], levels.n)
+        pair_keys = {}
+        for key, value in parser.items("drive"):
+            if key.startswith("omega_"):
+                _, i, j = key.split("_")
+                pair_keys[(int(i), int(j))] = float(value)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    pair_keys = {}
-    for key, value in parser.items("drive"):
-        if key.startswith("omega_"):
-            try:
-                _, i, j = key.split("_")
-                pair_keys[(int(i), int(j))] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad frequency key {key!r}") from exc
-
-    if ov.get("resonant"):
-        mode = "resonant"
-        pair_keys = {ij: w for ij, w in pair_keys.items() if ij[1] - ij[0] >= 2}
+    if ov.get("resonant") or "epsilon" in ov:
+        mode = "resonant"  # the resonant adjacent frequencies replace the file's
+        pair_keys = {ij: w for ij, w in pair_keys.items() if ij[1] - ij[0] != 1}
     if "epsilon" in ov:
         if levels.n != 3:
             raise ConfigError("--epsilon is the n=3 detuning knob")
-        mode = "resonant"
-        e = levels.deltas
-        pair_keys[(0, 2)] = float(e[2]) + float(ov["epsilon"])
+        pair_keys[(0, 2)] = float(levels.deltas[2]) + float(ov["epsilon"])
 
     if mode == "resonant":
-        nonadj = {ij: w for ij, w in pair_keys.items() if ij[1] - ij[0] >= 2}
-        drive = apply_resonance(levels, run["g"], nonadjacent=nonadj)
-        omega = dict(drive.omega)
+        omega = dict(apply_resonance(levels, run["g"], nonadjacent=pair_keys).omega)
     elif mode == "explicit":
         omega = pair_keys
     else:
@@ -259,6 +239,8 @@ def _solve_dyson1(cfg: RunConfig, grid, step, max_steps):
 
 def _solve_dyson2(cfg: RunConfig, grid, step, max_steps):
     drive = cfg.drive
+    if not is_resonant(cfg.levels, drive):
+        raise ConfigError("dyson2 requires the resonance conditions omega_j = E_j - E_{j-1}")
     det = detunings(drive)
     dyson_cfg = DysonConfig(order=2, quadrature_step=0.5 * max_quadrature_step(drive.g, det))
     return to_lab_frame(drive, grid, dyson_state(drive.n, drive.g, det, cfg.psi0, grid, dyson_cfg))
@@ -272,6 +254,18 @@ def _solve_numeric(cfg: RunConfig, grid, step, max_steps):
 # solver name -> fn(cfg, grid, step, max_steps) -> states, one row per grid time
 SOLVER_TABLE = {"exact": _solve_exact, "dyson1": _solve_dyson1, "dyson2": _solve_dyson2,
                 "numeric-rwa": _solve_numeric, "numeric-full": _solve_numeric}
+
+# run key -> (INI section, fallback text or None if the file must give the key, parse, flag help);
+# flag overrides and sweep values are text, parsed the same way as the file's value
+RUN_KEYS = {
+    "g": ("drive", None, float, "coupling constant"),
+    "solver": ("run", "numeric-rwa", str, " | ".join(SOLVER_TABLE)),
+    "t_max": ("run", None, float, "last sample time"),
+    "samples": ("run", "101", int, "number of samples"),
+    "initial": ("run", "0", str, "level index or amplitude list"),  # resolved once n is known
+    "output": ("run", "", lambda text: text or None, "output file; stdout when omitted"),
+    "format": ("run", "csv", str, "csv | json"),
+}
 
 
 def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory:
@@ -290,6 +284,8 @@ def _write_trajectory(traj: Trajectory, cfg: RunConfig):
 
 def cmd_spectrum(args) -> int:
     n = args.n
+    if n < 2:
+        raise ConfigError("--n must be at least 2")
     dec = decompose(n)
     c = coupling_matrix(n)
     print("# closed-form eigenvalues lambda_j = 2*cos(pi*j/(n+1))")
@@ -303,8 +299,15 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _refuse_idle_rk4_flags(args, cfgs):
+    if ((args.step is not None or args.max_steps is not None)
+            and all(SOLVER_TABLE[cfg.solver] is not _solve_numeric for cfg in cfgs)):
+        raise ConfigError("--step and --max-steps need a numeric-rwa or numeric-full run")
+
+
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config, _flag_overrides(args))
+    _refuse_idle_rk4_flags(args, [cfg])
     traj = run_solver(cfg, step_override=args.step, max_steps=args.max_steps)
     _write_trajectory(traj, cfg)
     print(f"# solver={cfg.solver} samples={cfg.samples} norm_drift={traj.norm_drift():.3g}",
@@ -328,9 +331,9 @@ def cmd_compare(args) -> int:
     if len(solvers) != 2:
         raise ConfigError(f"--solvers takes exactly two names, got {args.solvers!r}")
     base = load_config(args.config, _flag_overrides(args))
-    traj_a, traj_b = (run_solver(replace(base, solver=name), args.step, args.max_steps)
-                      for name in solvers)
-    report = compare(traj_a, traj_b)
+    cfgs = [replace(base, solver=name) for name in solvers]
+    _refuse_idle_rk4_flags(args, cfgs)
+    report = compare(*(run_solver(cfg, args.step, args.max_steps) for cfg in cfgs))
     doc = {
         "solvers": solvers,
         "config": base.to_dict(),
@@ -351,12 +354,15 @@ SWEEP_KEYS = tuple(f"{sec}.{key}" for key, (sec, *_) in RUN_KEYS.items() if key 
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_KEYS:
         raise ConfigError(f"cannot sweep {args.param!r}; sweepable keys: {', '.join(SWEEP_KEYS)}")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     flags = _flag_overrides(args)
     base = load_config(args.config, flags)
     key = args.param.partition(".")[2]
     # every value is resolved, and so refused, before anything is written
     cfgs = [load_config(args.config, {**flags, key: text})
             for text in args.values.replace(",", " ").split()]
+    _refuse_idle_rk4_flags(args, cfgs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -378,34 +384,38 @@ def cmd_sweep(args) -> int:
 
 
 def _flag_overrides(args) -> dict:
-    ov = {key: getattr(args, key) for key in RUN_KEYS if getattr(args, key) is not None}
-    if getattr(args, "resonant", False):
-        ov["resonant"] = True
-    if getattr(args, "epsilon", None) is not None:
-        ov["epsilon"] = args.epsilon
-    return ov
+    return {key: getattr(args, key) for key in (*RUN_KEYS, "resonant", "epsilon")
+            if getattr(args, key, None) is not None}
 
 
-def _add_run_flags(p):
+def _add_run_flags(p, keys, rk4):
+    """The config file, one --flag per run key in keys, and the frequency flags."""
     p.add_argument("config", help="INI configuration file")
-    p.add_argument("--solver", help=" | ".join(SOLVER_TABLE))
-    p.add_argument("--g", help="coupling constant override")
-    p.add_argument("--t-max", dest="t_max")
-    p.add_argument("--samples")
-    p.add_argument("--initial", help="level index or amplitude list")
-    p.add_argument("--output", "-o")
-    p.add_argument("--format", help="csv | json")
-    p.add_argument("--step", type=float, help="integrator step override")
-    p.add_argument("--max-steps", dest="max_steps", type=int,
-                   help="integrator step budget override")
+    for key in keys:
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=RUN_KEYS[key][3])
+    if rk4:
+        p.add_argument("--step", type=float, help="integrator step override")
+        p.add_argument("--max-steps", dest="max_steps", type=int,
+                       help="integrator step budget override")
     p.add_argument("--resonant", action="store_true",
                    help="force resonant adjacent frequencies")
     p.add_argument("--epsilon", type=float,
                    help="n=3 convenience: detune omega_02 by this amount")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose refusals are ConfigErrors, reported like every other refusal."""
+
+    def __init__(self, *args, **kwargs):
+        # no abbreviations: compare --solver is refused, not read as --solvers
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlevel-rabi",
         description="Multilevel Rabi oscillation simulator (RWA).",
     )
@@ -416,20 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("evolve", help="run one solver, write a trajectory")
-    _add_run_flags(p)
+    _add_run_flags(p, RUN_KEYS, rk4=True)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("exact-check", help="report the consistency condition")
-    _add_run_flags(p)
+    _add_run_flags(p, (), rk4=False)
     p.set_defaults(func=cmd_exact_check)
 
     p = sub.add_parser("compare", help="run two solvers, emit a deviation report")
-    _add_run_flags(p)
+    _add_run_flags(p, [k for k in RUN_KEYS if k not in ("solver", "format")], rk4=True)
     p.add_argument("--solvers", required=True, help="pair like 'exact,numeric-rwa'")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="fan a parameter over values, one file per run")
-    _add_run_flags(p)
+    _add_run_flags(p, [k for k in RUN_KEYS if k != "output"], rk4=True)
     p.add_argument("--param", required=True, help="key to sweep, e.g. drive.g")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--outdir", required=True)
@@ -439,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConsistencyError as exc:
         record = {

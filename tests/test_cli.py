@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -326,3 +327,100 @@ def test_run_key_table_matches_the_flags(capsys):
     help_text = capsys.readouterr().out
     for solver in SOLVER_TABLE:
         assert solver in help_text
+
+
+NO_DRIVE = "[levels]\nenergies = 0.0, 1.0, 2.0\n[run]\nsolver = exact\nt_max = 2.0\n"
+SWEEP = ["sweep", "{cfg}", "--param", "drive.g", "--values", "0.05,0.1", "--outdir", "{out}"]
+
+# id -> (argv with {cfg} and {out} placeholders, write_config keywords or raw INI text)
+REFUSED = {
+    "unknown-flag": (["evolve", "{cfg}", "--bogus"], {}),
+    "step-not-a-number": (["evolve", "{cfg}", "--solver", "numeric-rwa", "--step", "abc"], {}),
+    "epsilon-not-a-number": (["exact-check", "{cfg}", "--epsilon", "abc"], {}),
+    "jobs-not-a-number": (SWEEP + ["--jobs", "x"], {}),
+    "missing-param": (["sweep", "{cfg}", "--values", "0.1", "--outdir", "{out}"], {}),
+    "no-subcommand": ([], {}),
+    "spectrum-n-abc": (["spectrum", "--n", "abc"], {}),
+    # every (command, flag) pair the command does not read
+    "evolve-o": (["evolve", "{cfg}", "-o", "x.csv"], {}),
+    **{f"exact-check{flag}": (["exact-check", "{cfg}", flag, value], {})
+       for flag, value in [("--solver", "exact"), ("--g", "0.2"), ("--t-max", "1.0"),
+                           ("--samples", "3"), ("--initial", "1"), ("--output", "{out}"),
+                           ("-o", "{out}"), ("--format", "json"), ("--step", "1e-3"),
+                           ("--max-steps", "10")]},
+    "compare--solver": (["compare", "{cfg}", "--solvers", "exact,exact", "--solver", "dyson1"],
+                        {}),
+    "compare--format": (["compare", "{cfg}", "--solvers", "exact,exact", "--format", "json"], {}),
+    "compare-o": (["compare", "{cfg}", "--solvers", "exact,exact", "-o", "{out}"], {}),
+    "compare-abbreviated-solvers": (["compare", "{cfg}", "--solver", "exact,exact"], {}),
+    "sweep--output": (SWEEP + ["--output", "x.csv"], {}),
+    "sweep-o": (SWEEP + ["-o", "x.csv"], {}),
+    # frequency keys a resonant file cannot use, and a file with no [drive]
+    "resonant-omega_0_1": (["evolve", "{cfg}"], {"extra_drive": "omega_0_1 = 1.7"}),
+    "resonant-omega_2_0": (["evolve", "{cfg}"], {"extra_drive": "omega_2_0 = 9.0"}),
+    "epsilon-omega_2_0": (["evolve", "{cfg}", "--epsilon", "0.1"],
+                          {"extra_drive": "omega_2_0 = 9.0"}),
+    "no-drive-section": (["evolve", "{cfg}", "--g", "0.1"], NO_DRIVE),
+    # --step/--max-steps with no RK4 run
+    "evolve-exact-step": (["evolve", "{cfg}", "--solver", "exact", "--step", "-5",
+                           "--max-steps", "0"], {}),
+    "evolve-dyson2-max-steps": (["evolve", "{cfg}", "--solver", "dyson2", "--max-steps", "10"],
+                                {}),
+    "compare-closed-form-step": (["compare", "{cfg}", "--solvers", "exact,dyson1",
+                                  "--step", "1e-3"], {}),
+    "sweep-exact-step": (SWEEP + ["--step", "1e-3"], {}),
+    "sweep-jobs-0": (SWEEP + ["--jobs", "0"], {}),
+    "dyson2-detuned-adjacent": (["evolve", "{cfg}", "--solver", "dyson2"], {
+        "frequencies": "explicit", "g": "0.05", "t_max": "10.0",
+        "extra_drive": "omega_0_1 = 1.3\nomega_1_2 = 1.0\nomega_0_2 = 2.3"}),
+    "spectrum-n-1": (["spectrum", "--n", "1"], {}),
+}
+
+
+@pytest.mark.parametrize("argv, config", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, argv, config):
+    if isinstance(config, str):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(config)
+    else:
+        cfg = write_config(tmp_path, **{"samples": "3", "t_max": "2.0", **config})
+    outdir = tmp_path / "out"
+    assert main([a.format(cfg=cfg, out=outdir) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "config"
+    assert not outdir.exists()
+
+
+def test_resonant_flag_replaces_adjacent_frequencies_of_an_explicit_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, frequencies="explicit",
+                       extra_drive="omega_0_1 = 1.3\nomega_1_2 = 0.8\nomega_0_2 = 2.1")
+    assert load_config(cfg, {"resonant": True}).omega == {(0, 1): 1.0, (1, 2): 1.0,
+                                                          (0, 2): 2.1}
+    assert main(["exact-check", cfg]) == 0
+    capsys.readouterr()
+    assert main(["exact-check", cfg, "--resonant"]) == 3
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations == [{"pair": [0, 2], "epsilon": pytest.approx(0.1)}]
+
+
+RUN_FLAGS = {"--solver", "--g", "--t-max", "--samples", "--initial", "--output", "--format"}
+FREQUENCY_FLAGS = {"--resonant", "--epsilon"}
+RK4_FLAGS = {"--step", "--max-steps"}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in commands.items()}
+    assert options == {
+        "spectrum": {"--n"},
+        "evolve": RUN_FLAGS | RK4_FLAGS | FREQUENCY_FLAGS,
+        "exact-check": FREQUENCY_FLAGS,
+        "compare": RUN_FLAGS - {"--solver", "--format"} | RK4_FLAGS | FREQUENCY_FLAGS
+        | {"--solvers"},
+        "sweep": RUN_FLAGS - {"--output"} | RK4_FLAGS | FREQUENCY_FLAGS
+        | {"--param", "--values", "--outdir", "--jobs"},
+    }
