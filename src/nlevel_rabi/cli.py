@@ -274,6 +274,16 @@ def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory
     return Trajectory(grid, SOLVER_TABLE[cfg.solver](cfg, grid, step_override, max_steps))
 
 
+def _check_output(path):
+    """Refuse an output file whose directory is missing or that names a directory."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise ConfigError(f"output {path} is a directory")
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"output directory of {path} does not exist")
+
+
 def _write_trajectory(traj: Trajectory, cfg: RunConfig):
     target = cfg.output if cfg.output is not None else sys.stdout
     if cfg.format == "csv":
@@ -308,6 +318,7 @@ def _refuse_idle_rk4_flags(args, cfgs):
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config, _flag_overrides(args))
     _refuse_idle_rk4_flags(args, [cfg])
+    _check_output(cfg.output)
     traj = run_solver(cfg, step_override=args.step, max_steps=args.max_steps)
     _write_trajectory(traj, cfg)
     print(f"# solver={cfg.solver} samples={cfg.samples} norm_drift={traj.norm_drift():.3g}",
@@ -333,6 +344,7 @@ def cmd_compare(args) -> int:
     base = load_config(args.config, _flag_overrides(args))
     cfgs = [replace(base, solver=name) for name in solvers]
     _refuse_idle_rk4_flags(args, cfgs)
+    _check_output(args.output)
     report = compare(*(run_solver(cfg, args.step, args.max_steps) for cfg in cfgs))
     doc = {
         "solvers": solvers,
@@ -364,21 +376,32 @@ def cmd_sweep(args) -> int:
             for text in args.values.replace(",", " ").split()]
     _refuse_idle_rk4_flags(args, cfgs)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make --outdir {outdir}: {exc.strerror}") from exc
 
     def one(idx_cfg):
         idx, cfg = idx_cfg
         path = outdir / f"run_{idx:03d}.{cfg.format}"
         cfg = replace(cfg, output=str(path))
-        traj = run_solver(cfg, args.step, args.max_steps)
+        entry = {"index": idx, "param": args.param, "value": cfg.to_dict()[key]}
+        try:
+            traj = run_solver(cfg, args.step, args.max_steps)
+        except (NumericFailure, StepBudgetExceeded) as exc:
+            return {**entry, "status": "numeric", "error": str(exc), "file": None,
+                    "norm_drift": None}
         _write_trajectory(traj, cfg)
-        return {"index": idx, "param": args.param, "value": cfg.to_dict()[key],
-                "file": path.name, "norm_drift": traj.norm_drift()}
+        return {**entry, "status": "ok", "error": None, "file": path.name,
+                "norm_drift": traj.norm_drift()}
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         entries = list(pool.map(one, enumerate(cfgs)))
     manifest = {"config": base.to_dict(), "param": args.param, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    failed = [entry["index"] for entry in entries if entry["status"] != "ok"]
+    if failed:
+        raise NumericFailure(f"sweep runs {failed} failed; see {outdir / 'manifest.json'}")
     print(f"# wrote {len(entries)} runs to {outdir}", file=sys.stderr)
     return EXIT_OK
 

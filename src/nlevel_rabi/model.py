@@ -33,7 +33,9 @@ import numpy as np
 
 from .spectral import coupling_matrix
 
-HamiltonianFn = Callable[[float], np.ndarray]
+# H(t) for a 1-D array of times: one n x n matrix per time, shape t.shape + (n, n).
+# The RK4 oracle calls it once per chunk of steps; the factories here also take a scalar t.
+HamiltonianFn = Callable[[np.ndarray], np.ndarray]
 
 __all__ = [
     "ConfigError",

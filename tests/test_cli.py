@@ -229,6 +229,22 @@ def test_sweep_honours_step_budget(tmp_path):
                  "--step", "1e-5", "--max-steps", "100"]) == 4
 
 
+def test_failed_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.0", samples="2")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "run.t_max", "--values", "1,1e9",
+                 "--outdir", str(outdir), "--jobs", "2", "--max-steps", "5000"]) == 4
+    ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert (ok["status"], ok["error"], ok["file"]) == ("ok", None, "run_000.csv")
+    assert (outdir / "run_000.csv").exists()
+    assert (failed["index"], failed["value"], failed["status"]) == (1, 1e9, "numeric")
+    assert failed["error"] == "integration step budget exceeded"
+    assert failed["file"] is None and not (outdir / "run_001.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "numeric"
+
+
 def test_infinite_t_max_exits_2(tmp_path):
     cfg = write_config(tmp_path, t_max="inf")
     assert main(["evolve", cfg]) == 2
@@ -374,6 +390,11 @@ REFUSED = {
         "frequencies": "explicit", "g": "0.05", "t_max": "10.0",
         "extra_drive": "omega_0_1 = 1.3\nomega_1_2 = 1.0\nomega_0_2 = 2.3"}),
     "spectrum-n-1": (["spectrum", "--n", "1"], {}),
+    # output paths that cannot be written, refused before any solve
+    "evolve-output-missing-dir": (["evolve", "{cfg}", "--output", "{out}/x.csv"], {}),
+    "compare-output-missing-dir": (["compare", "{cfg}", "--solvers", "exact,numeric-rwa",
+                                    "--output", "{out}/r.json"], {}),
+    "sweep-outdir-is-a-file": (SWEEP[:-1] + ["{cfg}"], {}),
 }
 
 

@@ -26,6 +26,8 @@ from nlevel_rabi.propagate import (
 )
 from nlevel_rabi.spectral import coupling_matrix, exp_c
 
+STEP = 2.0 ** -6  # binary step: k steps land exactly on t = k * STEP
+
 
 def _two_level_resonant(g=0.1, delta=5.0):
     lev = LevelSpec((0.0, delta))
@@ -33,7 +35,7 @@ def _two_level_resonant(g=0.1, delta=5.0):
 
 
 def test_zero_hamiltonian_keeps_state_constant():
-    h = lambda t: np.zeros((3, 3), dtype=complex)
+    h = lambda t: np.zeros(np.shape(t) + (3, 3), dtype=complex)
     psi0 = StateVector.normalized([1.0, 1j, 0.3])
     traj = integrate(h, psi0, np.linspace(0, 5, 11), IntegratorConfig(step=0.1))
     for row in traj.states:
@@ -93,7 +95,7 @@ def test_lab_and_rotating_frames_agree():
 
 
 def test_grid_validation():
-    h = lambda t: np.zeros((2, 2), dtype=complex)
+    h = lambda t: np.zeros(np.shape(t) + (2, 2), dtype=complex)
     psi0 = StateVector.basis(2, 0)
     cfg = IntegratorConfig()
     with pytest.raises(ConfigError):
@@ -102,6 +104,8 @@ def test_grid_validation():
         integrate(h, psi0, [0.0, 2.0, 1.0], cfg)
     with pytest.raises(ConfigError):
         integrate(h, psi0, [0.0], cfg)
+    with pytest.raises(ConfigError):
+        integrate(h, psi0, [0.0, np.nan, 1.0], cfg)
 
 
 def test_step_budget_exceeded_carries_partial_trajectory():
@@ -115,7 +119,7 @@ def test_step_budget_exceeded_carries_partial_trajectory():
 
 
 def test_numeric_failure_on_overflow():
-    h = lambda t: 1e200 * np.ones((2, 2), dtype=complex)
+    h = lambda t: 1e200 * np.ones(np.shape(t) + (2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericFailure):
             integrate(h, StateVector.basis(2, 0), [0.0, 1.0], IntegratorConfig(step=0.5))
@@ -238,3 +242,118 @@ def test_rwa_vs_cosine_drive_weak_coupling():
     a = integrate(full_hamiltonian(lev, rwa_drive), psi0, grid, cfg)
     b = integrate(full_hamiltonian_nonrwa(lev, full_drive), psi0, grid, cfg)
     assert np.max(np.abs(a.populations - b.populations)) < 0.02
+
+
+# The per-step RK4 loop that `integrate` replaced: four scalar h_fn calls per
+# step.  The chunked path must reproduce it bit for bit.
+def _rk4_step(h_fn, t, psi, h):
+    k1 = -1j * (h_fn(t) @ psi)
+    k2 = -1j * (h_fn(t + 0.5 * h) @ (psi + 0.5 * h * k1))
+    k3 = -1j * (h_fn(t + 0.5 * h) @ (psi + 0.5 * h * k2))
+    k4 = -1j * (h_fn(t + h) @ (psi + h * k3))
+    return psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_integrate(h_fn, psi0, t_grid, cfg):
+    t_grid = np.asarray(t_grid, dtype=float)
+    psi = np.array(psi0.amp, dtype=complex)
+    states = [psi.copy()]
+    steps_used = 0
+    t = 0.0
+    for target in t_grid[1:]:
+        while t < target:
+            rem = target - t
+            h = rem if rem <= cfg.step * (1.0 + 1e-12) else cfg.step
+            psi = _rk4_step(h_fn, t, psi, h)
+            steps_used += 1
+            if steps_used > cfg.max_steps:
+                raise StepBudgetExceeded(Trajectory(t_grid[: len(states)], np.array(states)))
+            if not np.all(np.isfinite(psi)):
+                raise NumericFailure(f"non-finite state at t = {t:.6g}")
+            t = target if h == rem else t + h
+        states.append(psi.copy())
+    return Trajectory(t_grid, np.array(states))
+
+
+def _ladder_h_fn(n, rwa):
+    lev = LevelSpec(tuple(np.cumsum([0.0] + [1.0 + 0.07 * k for k in range(n - 1)])))
+    drive = apply_resonance(lev, 0.3, rwa=rwa)
+    return (full_hamiltonian if rwa else full_hamiltonian_nonrwa)(lev, drive)
+
+
+def _counting(h_fn):
+    """h_fn that records the length of every time array it is called with."""
+    sizes = []
+
+    def counted(t):
+        sizes.append(len(t))
+        return h_fn(t)
+
+    return counted, sizes
+
+
+def _psi0(n):
+    return StateVector.normalized(np.arange(1, n + 1) + 1j * np.arange(n, 0, -1))
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "cosine"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+def test_chunked_rk4_matches_per_step_loop(n, rwa, steps):
+    h_fn, sizes = _counting(_ladder_h_fn(n, rwa))
+    grid, cfg = [0.0, steps * STEP], IntegratorConfig(step=STEP)
+    got = integrate(h_fn, _psi0(n), grid, cfg)
+    ref = _reference_integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg)
+    np.testing.assert_array_equal(got.states, ref.states)
+    # one call per chunk of 64 steps, three stage times per step
+    assert sizes == [3 * min(64, steps - k) for k in range(0, steps, 64)]
+
+
+# a grid that is not a multiple of the step, and one whose last step before each
+# grid point falls a rounding error short of it (ten steps of 0.1 end at 0.9999999999999999)
+@pytest.mark.parametrize("grid, step", [(np.linspace(0.0, 2.9, 8), 0.0123),
+                                        ([0.0, 1.0, 2.0], 0.1)], ids=["clipped", "rounding"])
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "cosine"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_chunked_rk4_matches_per_step_loop_on_clipped_grid(n, rwa, grid, step):
+    cfg = IntegratorConfig(step=step)
+    got = integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg)
+    ref = _reference_integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg)
+    np.testing.assert_array_equal(got.times, ref.times)
+    np.testing.assert_array_equal(got.states, ref.states)
+
+
+@pytest.mark.parametrize("max_steps", [63, 64, 65])
+def test_step_budget_partial_trajectory_matches_per_step_loop(max_steps):
+    # 16 steps per grid interval, so the budget runs out between grid points
+    grid, cfg = np.linspace(0.0, 3.0, 13), IntegratorConfig(step=STEP, max_steps=max_steps)
+    with pytest.raises(StepBudgetExceeded) as got:
+        integrate(_ladder_h_fn(3, True), _psi0(3), grid, cfg)
+    with pytest.raises(StepBudgetExceeded) as ref:
+        _reference_integrate(_ladder_h_fn(3, True), _psi0(3), grid, cfg)
+    np.testing.assert_array_equal(got.value.trajectory.times, ref.value.trajectory.times)
+    np.testing.assert_array_equal(got.value.trajectory.states, ref.value.trajectory.states)
+    assert len(got.value.trajectory.times) == 1 + max_steps // 16
+
+
+def test_numeric_failure_message_matches_per_step_loop():
+    # psi grows like exp(100 t) and overflows after several chunks
+    h = lambda t: 100j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
+    grid, cfg = [0.0, 1.0, 10.0], IntegratorConfig(step=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFailure) as got:
+            integrate(h, StateVector.basis(2, 0), grid, cfg)
+        with pytest.raises(NumericFailure) as ref:
+            _reference_integrate(h, StateVector.basis(2, 0), grid, cfg)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("non-finite state at t = 7.")
+
+
+def test_step_schedule_is_built_one_chunk_at_a_time():
+    # 1e12 steps to the end of the grid; the budget stops the run in its second chunk
+    h_fn, sizes = _counting(_ladder_h_fn(2, True))
+    cfg = IntegratorConfig(step=1e-3, max_steps=100)
+    with pytest.raises(StepBudgetExceeded) as exc:
+        integrate(h_fn, StateVector.basis(2, 0), [0.0, 1e9], cfg)
+    assert len(exc.value.trajectory.times) == 1
+    assert sizes == [3 * 64, 3 * 64]
