@@ -47,6 +47,7 @@ from .propagate import (
     compare,
     expm_generic,
     integrate,
+    integrate_stack,
 )
 
 __version__ = "0.1.0"

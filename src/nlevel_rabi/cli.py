@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +58,7 @@ from .propagate import (
     Trajectory,
     compare,
     integrate,
+    integrate_stack,
 )
 from .spectral import coupling_matrix, decompose
 
@@ -246,9 +248,12 @@ def _solve_dyson2(cfg: RunConfig, grid, step, max_steps):
     return to_lab_frame(drive, grid, dyson_state(drive.n, drive.g, det, cfg.psi0, grid, dyson_cfg))
 
 
+def _h_fn(cfg: RunConfig):
+    return (full_hamiltonian if cfg.rwa else full_hamiltonian_nonrwa)(cfg.levels, cfg.drive)
+
+
 def _solve_numeric(cfg: RunConfig, grid, step, max_steps):
-    h_fn = (full_hamiltonian if cfg.rwa else full_hamiltonian_nonrwa)(cfg.levels, cfg.drive)
-    return integrate(h_fn, cfg.psi0, grid, _integrator_for(cfg, step, max_steps)).states
+    return integrate(_h_fn(cfg), cfg.psi0, grid, _integrator_for(cfg, step, max_steps)).states
 
 
 # solver name -> fn(cfg, grid, step, max_steps) -> states, one row per grid time
@@ -272,6 +277,61 @@ def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory
     """Run cfg's solver once over the whole time grid and return the trajectory."""
     grid = np.linspace(0.0, cfg.t_max, cfg.samples)
     return Trajectory(grid, SOLVER_TABLE[cfg.solver](cfg, grid, step_override, max_steps))
+
+
+# run status -> (what a run fails with, exit code); ConsistencyError is a ConfigError, so it is first
+RUN_FAILURES = {
+    "consistency": (ConsistencyError, EXIT_PRECONDITION),
+    "config": (ConfigError, EXIT_CONFIG),
+    "numeric": ((NumericFailure, StepBudgetExceeded), EXIT_NUMERIC),
+}
+
+
+def _status(exc: Exception) -> str:
+    return next(status for status, (kind, _) in RUN_FAILURES.items() if isinstance(exc, kind))
+
+
+def _tasks(cfgs, step, max_steps) -> list:
+    """Indices of cfgs, grouped into tasks.
+
+    RK4 runs (numeric-rwa and numeric-full alike) that share n, t_max, samples
+    and integrator settings form one task, solved as one RK4 stack; every
+    other run is a task of its own.
+    """
+    tasks = {}
+    for idx, cfg in enumerate(cfgs):
+        key = idx
+        if SOLVER_TABLE[cfg.solver] is _solve_numeric:
+            key = (len(cfg.energies), cfg.t_max, cfg.samples, _integrator_for(cfg, step, max_steps))
+        tasks.setdefault(key, []).append(idx)
+    return list(tasks.values())
+
+
+def _run_task(cfgs, step, max_steps) -> list:
+    """Per cfg of one task: its Trajectory, or the refusal or failure of its run."""
+    if len(cfgs) == 1:
+        try:
+            return [run_solver(cfgs[0], step, max_steps)]
+        except (ConfigError, NumericFailure, StepBudgetExceeded) as exc:
+            return [exc]
+    grid = np.linspace(0.0, cfgs[0].t_max, cfgs[0].samples)
+    return integrate_stack([_h_fn(cfg) for cfg in cfgs], [cfg.psi0 for cfg in cfgs], grid,
+                           _integrator_for(cfgs[0], step, max_steps))
+
+
+def _run_all(cfgs, tasks, step, max_steps, finish, pool_map=map) -> list:
+    """finish(index, result) for every cfg, where result is what _run_task gives for it.
+
+    The tasks (from ``_tasks``) go through ``pool_map``.  finish runs in the
+    task's worker, so a sweep writes each trajectory and drops it as its task
+    ends; finish's values come back in the order of cfgs.
+    """
+    def run(task):
+        results = _run_task([cfgs[idx] for idx in task], step, max_steps)
+        return [(idx, finish(idx, result)) for idx, result in zip(task, results)]
+
+    done = dict(itertools.chain.from_iterable(pool_map(run, tasks)))
+    return [done[idx] for idx in range(len(cfgs))]
 
 
 def _check_output(path):
@@ -345,7 +405,12 @@ def cmd_compare(args) -> int:
     cfgs = [replace(base, solver=name) for name in solvers]
     _refuse_idle_rk4_flags(args, cfgs)
     _check_output(args.output)
-    report = compare(*(run_solver(cfg, args.step, args.max_steps) for cfg in cfgs))
+    trajs = _run_all(cfgs, _tasks(cfgs, args.step, args.max_steps), args.step, args.max_steps,
+                     lambda idx, result: result)
+    for result in trajs:
+        if isinstance(result, Exception):
+            raise result
+    report = compare(*trajs)
     doc = {
         "solvers": solvers,
         "config": base.to_dict(),
@@ -375,33 +440,37 @@ def cmd_sweep(args) -> int:
     cfgs = [load_config(args.config, {**flags, key: text})
             for text in args.values.replace(",", " ").split()]
     _refuse_idle_rk4_flags(args, cfgs)
+    tasks = _tasks(cfgs, args.step, args.max_steps)  # refuses a bad --step or --max-steps
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make --outdir {outdir}: {exc.strerror}") from exc
 
-    def one(idx_cfg):
-        idx, cfg = idx_cfg
+    def finish(idx, result):
+        cfg = cfgs[idx]
         path = outdir / f"run_{idx:03d}.{cfg.format}"
-        cfg = replace(cfg, output=str(path))
         entry = {"index": idx, "param": args.param, "value": cfg.to_dict()[key]}
-        try:
-            traj = run_solver(cfg, args.step, args.max_steps)
-        except (NumericFailure, StepBudgetExceeded) as exc:
-            return {**entry, "status": "numeric", "error": str(exc), "file": None,
+        if isinstance(result, Exception):
+            return {**entry, "status": _status(result), "error": str(result), "file": None,
                     "norm_drift": None}
-        _write_trajectory(traj, cfg)
+        _write_trajectory(result, replace(cfg, output=str(path)))
         return {**entry, "status": "ok", "error": None, "file": path.name,
-                "norm_drift": traj.norm_drift()}
+                "norm_drift": result.norm_drift()}
 
+    # --jobs caps the tasks that run at once; one task may be a whole RK4 stack
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        entries = list(pool.map(one, enumerate(cfgs)))
+        entries = _run_all(cfgs, tasks, args.step, args.max_steps, finish, pool.map)
     manifest = {"config": base.to_dict(), "param": args.param, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    failed = [entry["index"] for entry in entries if entry["status"] != "ok"]
+    failed = [entry for entry in entries if entry["status"] != "ok"]
     if failed:
-        raise NumericFailure(f"sweep runs {failed} failed; see {outdir / 'manifest.json'}")
+        # the smallest exit code among the failed runs: config 2 < consistency 3 < numeric 4
+        status = min((entry["status"] for entry in failed), key=lambda st: RUN_FAILURES[st][1])
+        message = (f"sweep runs {[entry['index'] for entry in failed]} failed; "
+                   f"see {outdir / 'manifest.json'}")
+        print(json.dumps({"error": status, "message": message}), file=sys.stderr)
+        return RUN_FAILURES[status][1]
     print(f"# wrote {len(entries)} runs to {outdir}", file=sys.stderr)
     return EXIT_OK
 

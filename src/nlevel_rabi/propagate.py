@@ -23,6 +23,7 @@ __all__ = [
     "StepBudgetExceeded",
     "NormRangeError",
     "integrate",
+    "integrate_stack",
     "expm_generic",
     "compare",
 ]
@@ -156,6 +157,27 @@ def integrate(h_fn: HamiltonianFn, psi0: StateVector, t_grid, cfg: IntegratorCon
     that it lands there exactly (never interpolated).  ``h_fn`` gets a 1-D
     array of times and is called once per ``_CHUNK`` steps, with the times t,
     t + h/2 and t + h of every step in the chunk; k2 and k3 share t + h/2.
+    This is ``integrate_stack`` of one run, with its failure raised.
+    """
+    (result,) = integrate_stack([h_fn], [psi0], t_grid, cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
+    """Integrate B runs that share ``t_grid`` and ``cfg`` in one RK4 loop.
+
+    Run b solves i dPsi/dt = h_fns[b](t) Psi from psi0s[b].  The states are
+    stepped as one (B, n, 1) array with the arithmetic of ``integrate``, so
+    each run's states equal its solo ``integrate`` bit for bit.  Per chunk,
+    each ``h_fn`` is called once, as in ``integrate``.
+
+    Returns one entry per run: its ``Trajectory``, or the ``NumericFailure``
+    or ``StepBudgetExceeded`` that a solo run would raise (returned, not
+    raised).  A run whose state goes non-finite is zeroed and dropped while
+    the others go on; the budget ends every run at the same step, each with
+    its solo partial trajectory.  A bad grid raises ``ConfigError``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -163,28 +185,46 @@ def integrate(h_fn: HamiltonianFn, psi0: StateVector, t_grid, cfg: IntegratorCon
     if t_grid[0] != 0.0 or not np.all(np.diff(t_grid) > 0):  # also refuses NaN
         raise ConfigError("t_grid must increase from 0")
 
-    psi = np.array(psi0.amp, dtype=complex)
-    states = [psi.copy()]
+    psi = np.array([p.amp for p in psi0s], dtype=complex)[:, :, None]
+    states = [psi[:, :, 0].copy()]
+    failures = [None] * len(psi)
     steps_used = 0
     steps = _steps(t_grid, cfg.step)
-    while chunk := list(itertools.islice(steps, _CHUNK)):
-        ts, hs, _ = np.array(chunk).T
-        hams = h_fn(np.concatenate((ts, ts + 0.5 * hs, ts + hs)))
-        hams = hams.reshape((3, len(chunk)) + hams.shape[1:])
-        for (t, h, lands), h_start, h_mid, h_end in zip(chunk, *hams):
-            k1 = -1j * (h_start @ psi)
-            k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
-            k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
-            k4 = -1j * (h_end @ (psi + h * k3))
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            steps_used += 1
-            if steps_used > cfg.max_steps:
-                raise StepBudgetExceeded(Trajectory(t_grid[: len(states)], np.array(states)))
-            if not np.all(np.isfinite(psi)):
-                raise NumericFailure(f"non-finite state at t = {t:.6g}")
-            if lands:
-                states.append(psi.copy())
-    return Trajectory(t_grid, np.array(states))
+    # stage Hamiltonians (time, run, n, n), refilled per chunk; one buffer keeps the
+    # peak memory at one chunk's matrices
+    stack = np.empty((3 * _CHUNK, len(psi), psi.shape[1], psi.shape[1]), dtype=complex)
+    # non-finite states are caught below; numpy's overflow warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while chunk := list(itertools.islice(steps, _CHUNK)):
+            ts, hs, _ = np.array(chunk).T
+            times = np.concatenate((ts, ts + 0.5 * hs, ts + hs))
+            for b, h_fn in enumerate(h_fns):
+                stack[: len(times), b] = h_fn(times)
+            hams = stack[: len(times)].reshape((3, len(chunk)) + stack.shape[1:])
+            for (t, h, lands), h_start, h_mid, h_end in zip(chunk, *hams):
+                k1 = -1j * (h_start @ psi)
+                k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
+                k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
+                k4 = -1j * (h_end @ (psi + h * k3))
+                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                steps_used += 1
+                if steps_used > cfg.max_steps:
+                    partial = np.array(states)
+                    return [failure or StepBudgetExceeded(
+                                Trajectory(t_grid[: len(partial)], partial[:, b]))
+                            for b, failure in enumerate(failures)]
+                finite = np.isfinite(psi).all(axis=(1, 2))
+                if not finite.all():
+                    for b in np.flatnonzero(~finite):
+                        failures[b] = failures[b] or NumericFailure(
+                            f"non-finite state at t = {t:.6g}")
+                    if all(failures):
+                        return failures
+                    psi[~finite] = 0.0
+                if lands:
+                    states.append(psi[:, :, 0].copy())
+    states = np.array(states)
+    return [failure or Trajectory(t_grid, states[:, b]) for b, failure in enumerate(failures)]
 
 
 def expm_generic(m: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 import argparse
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nlevel_rabi.cli as cli
 from nlevel_rabi.cli import (RUN_KEYS, SOLVER_TABLE, SWEEP_KEYS, RunConfig, build_parser,
                               load_config, main, run_solver)
 from nlevel_rabi.model import ConfigError
@@ -386,6 +389,7 @@ REFUSED = {
                                   "--step", "1e-3"], {}),
     "sweep-exact-step": (SWEEP + ["--step", "1e-3"], {}),
     "sweep-jobs-0": (SWEEP + ["--jobs", "0"], {}),
+    "sweep-step-0": (SWEEP + ["--solver", "numeric-rwa", "--step", "0"], {}),
     "dyson2-detuned-adjacent": (["evolve", "{cfg}", "--solver", "dyson2"], {
         "frequencies": "explicit", "g": "0.05", "t_max": "10.0",
         "extra_drive": "omega_0_1 = 1.3\nomega_1_2 = 1.0\nomega_0_2 = 2.3"}),
@@ -445,3 +449,111 @@ def test_each_command_takes_only_the_flags_it_reads():
         "sweep": RUN_FLAGS - {"--output"} | RK4_FLAGS | FREQUENCY_FLAGS
         | {"--param", "--values", "--outdir", "--jobs"},
     }
+
+
+def _record_stacks(monkeypatch):
+    """The size of every RK4 stack cli runs, in call order."""
+    sizes = []
+    integrate_stack = cli.integrate_stack
+
+    def recording(h_fns, *args):
+        sizes.append(len(h_fns))
+        return integrate_stack(h_fns, *args)
+
+    monkeypatch.setattr(cli, "integrate_stack", recording)
+    return sizes
+
+
+# sweep key -> (--values, the evolve flag that sets one value, sizes of the RK4 stacks)
+STACKED_SWEEPS = {
+    "drive.g": ("0.05,0.1,0.2", "--g", [3]),
+    "run.solver": ("numeric-rwa,numeric-full,exact", "--solver", [2]),
+    "run.initial": ("0,1,2", "--initial", [3]),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+@pytest.mark.parametrize("param", STACKED_SWEEPS)
+def test_stacked_sweep_runs_match_solo_evolve(tmp_path, monkeypatch, param, jobs):
+    values, flag, stacks = STACKED_SWEEPS[param]
+    sizes = _record_stacks(monkeypatch)
+    cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.5", samples="7",
+                       energies="0.0, 1.0, 2.1")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", param, "--values", values, "--outdir", str(outdir),
+                 "--jobs", jobs]) == 0
+    assert sizes == stacks
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    for run, value in zip(runs, values.split(",")):
+        solo = tmp_path / f"solo_{run['index']}.csv"
+        assert main(["evolve", cfg, flag, value, "--output", str(solo)]) == 0
+        assert (outdir / run["file"]).read_bytes() == solo.read_bytes()
+
+
+def test_compare_runs_two_rk4_legs_as_one_stack(tmp_path, monkeypatch):
+    sizes = _record_stacks(monkeypatch)
+    cfg = write_config(tmp_path, t_max="1.0", samples="5")
+    stacked, solo = tmp_path / "stacked.json", tmp_path / "solo.json"
+    assert main(["compare", cfg, "--solvers", "numeric-rwa,numeric-full",
+                 "--output", str(stacked)]) == 0
+    assert sizes == [2]
+    base = load_config(cfg, {"output": str(stacked)})
+    report = cli.compare(*(run_solver(replace(base, solver=name))
+                           for name in ("numeric-rwa", "numeric-full")))
+    doc = {"solvers": ["numeric-rwa", "numeric-full"], "config": base.to_dict(),
+           "report": report.to_dict()}
+    assert stacked.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+# (--values, [drive] keys, statuses in run order, exit code): the sweep exits with the
+# smallest code among its failed runs
+IN_RUN_REFUSALS = {
+    "config": ("exact,dyson1", "", ["ok", "config"], 2),
+    "consistency": ("numeric-rwa,exact", "omega_0_2 = 2.4", ["ok", "consistency"], 3),
+    "all-three": ("exact,numeric-rwa,dyson1", "omega_0_2 = 2.4",
+                  ["consistency", "numeric", "config"], 2),
+}
+
+
+@pytest.mark.parametrize("values, drive, statuses, code", IN_RUN_REFUSALS.values(),
+                         ids=IN_RUN_REFUSALS.keys())
+def test_refusal_inside_a_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys, values, drive,
+                                                                  statuses, code):
+    # four levels, so dyson1 refuses; a detuned 0-2 drive makes exact refuse
+    cfg = write_config(tmp_path, energies="0.0, 1.0, 2.1, 3.3", t_max="1.0", samples="3",
+                       extra_drive=drive)
+    outdir = tmp_path / "sweep"
+    argv = ["sweep", cfg, "--param", "run.solver", "--values", values, "--outdir", str(outdir),
+            "--jobs", "1"]
+    if "numeric" in statuses:
+        argv += ["--max-steps", "10"]
+    assert main(argv) == code
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert [run["status"] for run in runs] == statuses
+    for run in runs:
+        assert (outdir / f"run_{run['index']:03d}.csv").exists() == (run["status"] == "ok")
+        assert (run["error"] is None) == (run["status"] == "ok")
+        assert (run["file"] is None) == (run["status"] != "ok")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    failed = [run["index"] for run in runs if run["status"] != "ok"]
+    assert json.loads(err[0])["message"].startswith(f"sweep runs {failed} failed")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_numeric_failure_in_a_sweep_prints_one_json_line(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path)
+    outdir = tmp_path / "sweep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,1000", "--step", "0.5",
+                     "--t-max", "40", "--solver", "numeric-rwa", "--outdir", str(outdir),
+                     "--jobs", jobs]) == 4
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "numeric", "message":
+                                  f"sweep runs [1] failed; see {outdir / 'manifest.json'}"}
+    ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert (ok["status"], failed["status"]) == ("ok", "numeric")
+    assert failed["error"].startswith("non-finite state at t = ")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nlevel_rabi.propagate import (
     compare,
     expm_generic,
     integrate,
+    integrate_stack,
 )
 from nlevel_rabi.spectral import coupling_matrix, exp_c
 
@@ -357,3 +359,74 @@ def test_step_schedule_is_built_one_chunk_at_a_time():
         integrate(h_fn, StateVector.basis(2, 0), [0.0, 1e9], cfg)
     assert len(exc.value.trajectory.times) == 1
     assert sizes == [3 * 64, 3 * 64]
+
+
+# A stack mixes RWA and cosine members with different starting states; each member
+# must reproduce its solo per-step loop bit for bit.
+def _stack_members(n):
+    rng = np.random.default_rng(n)
+    psis = [_psi0(n), StateVector.basis(n, n - 1),
+            StateVector.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))]
+    return [(_ladder_h_fn(n, rwa), psi) for rwa, psi in zip((True, False, True), psis)]
+
+
+def _assert_stack_matches_per_step_loop(members, grid, cfg):
+    got = integrate_stack([h for h, _ in members], [psi for _, psi in members], grid, cfg)
+    assert len(got) == len(members)
+    for (h_fn, psi0), result in zip(members, got):
+        ref = _reference_integrate(h_fn, psi0, grid, cfg)
+        np.testing.assert_array_equal(result.times, ref.times)
+        np.testing.assert_array_equal(result.states, ref.states)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("steps", [1, 64, 65, 129])
+def test_stack_members_match_per_step_loop(n, steps):
+    members = _stack_members(n)
+    counted = [_counting(h_fn) for h_fn, _ in members]
+    grid, cfg = [0.0, steps * STEP], IntegratorConfig(step=STEP)
+    integrate_stack([h for h, _ in counted], [psi for _, psi in members], grid, cfg)
+    _assert_stack_matches_per_step_loop(members, grid, cfg)
+    # each member's h_fn is called once per chunk of 64 steps
+    for _, sizes in counted:
+        assert sizes == [3 * min(64, steps - k) for k in range(0, steps, 64)]
+
+
+@pytest.mark.parametrize("grid, step", [(np.linspace(0.0, 2.9, 8), 0.0123),
+                                        ([0.0, 1.0, 2.0], 0.1)], ids=["clipped", "rounding"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_stack_members_match_per_step_loop_on_clipped_grid(n, grid, step):
+    _assert_stack_matches_per_step_loop(_stack_members(n), grid, IntegratorConfig(step=step))
+
+
+@pytest.mark.parametrize("max_steps", [63, 64, 65])
+def test_step_budget_ends_every_member_with_its_solo_partial_trajectory(max_steps):
+    members = _stack_members(3)
+    grid, cfg = np.linspace(0.0, 3.0, 13), IntegratorConfig(step=STEP, max_steps=max_steps)
+    got = integrate_stack([h for h, _ in members], [psi for _, psi in members], grid, cfg)
+    for (h_fn, psi0), result in zip(members, got):
+        assert isinstance(result, StepBudgetExceeded)
+        with pytest.raises(StepBudgetExceeded) as ref:
+            _reference_integrate(h_fn, psi0, grid, cfg)
+        np.testing.assert_array_equal(result.trajectory.times, ref.value.trajectory.times)
+        np.testing.assert_array_equal(result.trajectory.states, ref.value.trajectory.states)
+        assert len(result.trajectory.times) == 1 + max_steps // 16
+
+
+def test_overflowing_member_fails_alone_and_silently():
+    # the middle member grows like exp(100 t) and overflows after several chunks
+    blowup = lambda t: 100j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
+    (rwa, psi_a), (cosine, psi_b), _ = _stack_members(2)
+    members = [(rwa, psi_a), (blowup, StateVector.basis(2, 0)), (cosine, psi_b)]
+    grid, cfg = [0.0, 1.0, 10.0], IntegratorConfig(step=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        got = integrate_stack([h for h, _ in members], [psi for _, psi in members], grid, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFailure) as solo:
+            _reference_integrate(blowup, StateVector.basis(2, 0), grid, cfg)
+    assert isinstance(got[1], NumericFailure)
+    assert str(got[1]) == str(solo.value)
+    for (h_fn, psi0), result in zip(members[::2], got[::2]):
+        ref = _reference_integrate(h_fn, psi0, grid, cfg)
+        np.testing.assert_array_equal(result.states, ref.states)
