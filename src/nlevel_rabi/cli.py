@@ -20,8 +20,8 @@ Configuration lives in an INI-style file with three sections::
     format = csv                  ; csv | json
 
 Command-line flags override file keys.  Exit codes: 0 success, 2 config
-error, 3 precondition failure (e.g. consistency violation), 4 numeric
-failure.
+error or failed write, 3 precondition failure (e.g. consistency violation),
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -279,10 +279,12 @@ def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory
     return Trajectory(grid, SOLVER_TABLE[cfg.solver](cfg, grid, step_override, max_steps))
 
 
-# run status -> (what a run fails with, exit code); ConsistencyError is a ConfigError, so it is first
+# run status -> (what a run fails with, exit code); ConsistencyError is a ConfigError, so it is
+# first; an io run solved but its file could not be written
 RUN_FAILURES = {
     "consistency": (ConsistencyError, EXIT_PRECONDITION),
     "config": (ConfigError, EXIT_CONFIG),
+    "io": (OSError, EXIT_CONFIG),
     "numeric": ((NumericFailure, StepBudgetExceeded), EXIT_NUMERIC),
 }
 
@@ -451,12 +453,16 @@ def cmd_sweep(args) -> int:
         cfg = cfgs[idx]
         path = outdir / f"run_{idx:03d}.{cfg.format}"
         entry = {"index": idx, "param": args.param, "value": cfg.to_dict()[key]}
-        if isinstance(result, Exception):
-            return {**entry, "status": _status(result), "error": str(result), "file": None,
-                    "norm_drift": None}
-        _write_trajectory(result, replace(cfg, output=str(path)))
-        return {**entry, "status": "ok", "error": None, "file": path.name,
-                "norm_drift": result.norm_drift()}
+        if not isinstance(result, Exception):
+            try:
+                _write_trajectory(result, replace(cfg, output=str(path)))
+            except OSError as exc:
+                result = exc
+            else:
+                return {**entry, "status": "ok", "error": None, "file": path.name,
+                        "norm_drift": result.norm_drift()}
+        return {**entry, "status": _status(result), "error": str(result), "file": None,
+                "norm_drift": None}
 
     # --jobs caps the tasks that run at once; one task may be a whole RK4 stack
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -465,7 +471,7 @@ def cmd_sweep(args) -> int:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     failed = [entry for entry in entries if entry["status"] != "ok"]
     if failed:
-        # the smallest exit code among the failed runs: config 2 < consistency 3 < numeric 4
+        # the smallest exit code among the failed runs: config, io 2 < consistency 3 < numeric 4
         status = min((entry["status"] for entry in failed), key=lambda st: RUN_FAILURES[st][1])
         message = (f"sweep runs {[entry['index'] for entry in failed]} failed; "
                    f"see {outdir / 'manifest.json'}")
@@ -558,6 +564,9 @@ def main(argv=None) -> int:
     except (NumericFailure, StepBudgetExceeded) as exc:
         print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # an output that passed _check_output but could not be written
+        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

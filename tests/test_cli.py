@@ -2,6 +2,7 @@ import argparse
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,3 +558,34 @@ def test_numeric_failure_in_a_sweep_prints_one_json_line(tmp_path, capsys, jobs)
     ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
     assert (ok["status"], failed["status"]) == ("ok", "numeric")
     assert failed["error"].startswith("non-finite state at t = ")
+
+
+# /dev/full accepts the open and fails the write with ENOSPC
+full_disk = pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+
+
+@full_disk
+@pytest.mark.parametrize("argv", [["evolve"], ["compare", "--solvers", "exact,numeric-rwa"]],
+                         ids=["evolve", "compare"])
+def test_failed_write_exits_2_with_one_json_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, t_max="1.0")
+    assert main([argv[0], cfg, *argv[1:], "--output", "/dev/full"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "io", "message": "[Errno 28] No space left on device"}
+
+
+def test_unwritable_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys):
+    cfg = write_config(tmp_path, t_max="1.0")
+    outdir = tmp_path / "sweep"
+    (outdir / "run_000.csv").mkdir(parents=True)
+    assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,0.2",
+                 "--outdir", str(outdir), "--jobs", "1"]) == 2
+    blocked, ok = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert (blocked["status"], blocked["file"]) == ("io", None)
+    assert blocked["error"].startswith("[Errno 21] Is a directory")
+    assert (ok["status"], ok["file"]) == ("ok", "run_001.csv")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "io", "message":
+                                  f"sweep runs [0] failed; see {outdir / 'manifest.json'}"}

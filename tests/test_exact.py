@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlevel_rabi.exact import (
     ConsistencyError,
@@ -16,8 +18,9 @@ from nlevel_rabi.model import (
     StateVector,
     apply_resonance,
     detunings,
+    full_hamiltonian,
 )
-from nlevel_rabi.propagate import expm_generic
+from nlevel_rabi.propagate import IntegratorConfig, expm_generic, integrate
 
 
 def test_check_consistency_satisfied():
@@ -172,3 +175,22 @@ def test_exact_evolution_rejects_off_resonance():
 def test_default_tolerance_tracks_frequency_scale():
     drive = apply_resonance(LevelSpec((0.0, 10.0, 20.0)), g=0.1)
     assert default_consistency_tol(drive) == pytest.approx(1e-9 * 20.0)
+
+
+@st.composite
+def resonant_ladders(draw):
+    """An anharmonic ladder of n in [2, 5] levels, every pair on resonance, a basis start."""
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.5, 2.0), min_size=n - 1, max_size=n - 1))
+    levels = LevelSpec(tuple(np.concatenate(([0.0], np.cumsum(gaps)))))
+    drive = apply_resonance(levels, g=draw(st.floats(0.05, 0.5)))
+    return levels, drive, StateVector.basis(n, draw(st.integers(0, n - 1))), draw(st.floats(0.1, 5.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(resonant_ladders())
+def test_exact_matches_rk4_on_random_resonant_ladders(case):
+    levels, drive, psi0, t_max = case
+    grid = np.linspace(0.0, t_max, 11)
+    rk4 = integrate(full_hamiltonian(levels, drive), psi0, grid, IntegratorConfig(step=1e-3))
+    assert np.max(np.abs(exact_evolution(levels, drive, psi0, grid) - rk4.states)) <= 1e-8

@@ -178,6 +178,38 @@ def test_compare_global_phase_alignment():
     assert report.max_population_dev < 1e-15
 
 
+def _reference_compare_table(traj_a, traj_b):
+    """The per-row loop that `compare` replaced."""
+    rows = []
+    for t, a, b in zip(traj_a.times, traj_a.states, traj_b.states):
+        raw = float(np.max(np.abs(a - b)))
+        overlap = np.vdot(b, a)
+        phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+        aligned = float(np.max(np.abs(a - phase * b)))
+        pop = float(np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)))
+        rows.append((float(t), raw, aligned, pop))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_compare_matches_per_row_loop(n):
+    # two unit-norm trajectories a little apart, the second with a random phase per row
+    rng = np.random.default_rng(n)
+    a, noise = (rng.normal(size=(101, n)) + 1j * rng.normal(size=(101, n)) for _ in range(2))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = np.exp(2j * np.pi * rng.random((101, 1))) * (a + 1e-3 * noise)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    b[7] = 0.0
+    a[9], b[9] = np.eye(n)[0], np.eye(n)[1]  # orthogonal: zero overlap, so phase 1
+    grid = np.linspace(0.0, 10.0, 101)
+    table = compare(Trajectory(grid, a), Trajectory(grid, b)).table
+    ref = _reference_compare_table(Trajectory(grid, a), Trajectory(grid, b))
+    np.testing.assert_array_equal(table[:, [0, 1, 3]], ref[:, [0, 1, 3]])
+    # the overlaps are summed in another order
+    assert np.max(np.abs(table[:, 2] - ref[:, 2])) <= 1e-15
+    assert table[7, 2] == np.max(np.abs(a[7])) and table[9, 2] == table[9, 1]
+
+
 def test_compare_grid_mismatch():
     states = np.array([[1.0 + 0j, 0.0], [1.0, 0.0]])
     with pytest.raises(ConfigError):
@@ -247,7 +279,8 @@ def test_rwa_vs_cosine_drive_weak_coupling():
 
 
 # The per-step RK4 loop that `integrate` replaced: four scalar h_fn calls per
-# step.  The chunked path must reproduce it bit for bit.
+# step, stages applied to psi.  `integrate` applies the same stages to the
+# identity, so its states differ from this reference by rounding only.
 def _rk4_step(h_fn, t, psi, h):
     k1 = -1j * (h_fn(t) @ psi)
     k2 = -1j * (h_fn(t + 0.5 * h) @ (psi + 0.5 * h * k1))
@@ -275,6 +308,16 @@ def _reference_integrate(h_fn, psi0, t_grid, cfg):
             t = target if h == rem else t + h
         states.append(psi.copy())
     return Trajectory(t_grid, np.array(states))
+
+
+# over 10x the largest deviation from the per-step loop on these grids (7.2e-16),
+# well inside the 1e-13 to which solver outputs are preserved
+REFERENCE_TOL = 1e-14
+
+
+def _assert_matches_reference(got, ref, tol=REFERENCE_TOL):
+    np.testing.assert_array_equal(got.times, ref.times)
+    assert np.max(np.abs(got.states - ref.states)) <= tol
 
 
 def _ladder_h_fn(n, rwa):
@@ -305,8 +348,7 @@ def test_chunked_rk4_matches_per_step_loop(n, rwa, steps):
     h_fn, sizes = _counting(_ladder_h_fn(n, rwa))
     grid, cfg = [0.0, steps * STEP], IntegratorConfig(step=STEP)
     got = integrate(h_fn, _psi0(n), grid, cfg)
-    ref = _reference_integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg)
-    np.testing.assert_array_equal(got.states, ref.states)
+    _assert_matches_reference(got, _reference_integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg))
     # one call per chunk of 64 steps, three stage times per step
     assert sizes == [3 * min(64, steps - k) for k in range(0, steps, 64)]
 
@@ -320,9 +362,19 @@ def test_chunked_rk4_matches_per_step_loop(n, rwa, steps):
 def test_chunked_rk4_matches_per_step_loop_on_clipped_grid(n, rwa, grid, step):
     cfg = IntegratorConfig(step=step)
     got = integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg)
-    ref = _reference_integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg)
-    np.testing.assert_array_equal(got.times, ref.times)
-    np.testing.assert_array_equal(got.states, ref.states)
+    _assert_matches_reference(got, _reference_integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg))
+
+
+def test_step_increments_keep_the_identity_out():
+    # 20,000 steps: folding I into the increment (psi <- (I + D) psi) rounds the
+    # diagonal at every step and drifts 4.2e-13 from the per-step loop here; the
+    # increment form (psi <- psi + D psi) stays at 2.0e-15
+    lev = LevelSpec((0.0, 1.0))
+    h_fn = full_hamiltonian(lev, apply_resonance(lev, g=1.0))
+    grid, cfg = [0.0, 20.0], IntegratorConfig(step=1e-3)
+    got = integrate(h_fn, StateVector.basis(2, 0), grid, cfg)
+    ref = _reference_integrate(h_fn, StateVector.basis(2, 0), grid, cfg)
+    _assert_matches_reference(got, ref, tol=1e-13)
 
 
 @pytest.mark.parametrize("max_steps", [63, 64, 65])
@@ -333,22 +385,21 @@ def test_step_budget_partial_trajectory_matches_per_step_loop(max_steps):
         integrate(_ladder_h_fn(3, True), _psi0(3), grid, cfg)
     with pytest.raises(StepBudgetExceeded) as ref:
         _reference_integrate(_ladder_h_fn(3, True), _psi0(3), grid, cfg)
-    np.testing.assert_array_equal(got.value.trajectory.times, ref.value.trajectory.times)
-    np.testing.assert_array_equal(got.value.trajectory.states, ref.value.trajectory.states)
+    _assert_matches_reference(got.value.trajectory, ref.value.trajectory)
     assert len(got.value.trajectory.times) == 1 + max_steps // 16
 
 
-def test_numeric_failure_message_matches_per_step_loop():
-    # psi grows like exp(100 t) and overflows after several chunks
+def test_numeric_failure_message_names_the_overflowing_step():
+    # -iH = 100 I and h = 0.01, so every step multiplies psi by
+    # 1 + 1 + 1/2 + 1/6 + 1/24 = 65/24, and psi = (65/24)^k after k steps.
+    # ln(DBL_MAX) / ln(65/24) = 712.4, so the step that starts at t = 7.12 (the
+    # 713th) is the first to take psi past DBL_MAX.  The message names that step;
+    # the per-step loop fails 6 steps earlier, when its k4 stage overflows.
     h = lambda t: 100j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
     grid, cfg = [0.0, 1.0, 10.0], IntegratorConfig(step=0.01)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericFailure) as got:
-            integrate(h, StateVector.basis(2, 0), grid, cfg)
-        with pytest.raises(NumericFailure) as ref:
-            _reference_integrate(h, StateVector.basis(2, 0), grid, cfg)
-    assert str(got.value) == str(ref.value)
-    assert str(got.value).startswith("non-finite state at t = 7.")
+    with pytest.raises(NumericFailure) as got:
+        integrate(h, StateVector.basis(2, 0), grid, cfg)
+    assert str(got.value) == "non-finite state at t = 7.12"
 
 
 def test_step_schedule_is_built_one_chunk_at_a_time():
@@ -362,7 +413,8 @@ def test_step_schedule_is_built_one_chunk_at_a_time():
 
 
 # A stack mixes RWA and cosine members with different starting states; each member
-# must reproduce its solo per-step loop bit for bit.
+# must reproduce its solo run bit for bit, and so stay within REFERENCE_TOL of the
+# per-step loop.
 def _stack_members(n):
     rng = np.random.default_rng(n)
     psis = [_psi0(n), StateVector.basis(n, n - 1),
@@ -374,9 +426,10 @@ def _assert_stack_matches_per_step_loop(members, grid, cfg):
     got = integrate_stack([h for h, _ in members], [psi for _, psi in members], grid, cfg)
     assert len(got) == len(members)
     for (h_fn, psi0), result in zip(members, got):
-        ref = _reference_integrate(h_fn, psi0, grid, cfg)
-        np.testing.assert_array_equal(result.times, ref.times)
-        np.testing.assert_array_equal(result.states, ref.states)
+        solo = integrate(h_fn, psi0, grid, cfg)
+        np.testing.assert_array_equal(result.times, solo.times)
+        np.testing.assert_array_equal(result.states, solo.states)
+        _assert_matches_reference(result, _reference_integrate(h_fn, psi0, grid, cfg))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -406,10 +459,13 @@ def test_step_budget_ends_every_member_with_its_solo_partial_trajectory(max_step
     got = integrate_stack([h for h, _ in members], [psi for _, psi in members], grid, cfg)
     for (h_fn, psi0), result in zip(members, got):
         assert isinstance(result, StepBudgetExceeded)
+        with pytest.raises(StepBudgetExceeded) as solo:
+            integrate(h_fn, psi0, grid, cfg)
+        np.testing.assert_array_equal(result.trajectory.times, solo.value.trajectory.times)
+        np.testing.assert_array_equal(result.trajectory.states, solo.value.trajectory.states)
         with pytest.raises(StepBudgetExceeded) as ref:
             _reference_integrate(h_fn, psi0, grid, cfg)
-        np.testing.assert_array_equal(result.trajectory.times, ref.value.trajectory.times)
-        np.testing.assert_array_equal(result.trajectory.states, ref.value.trajectory.states)
+        _assert_matches_reference(result.trajectory, ref.value.trajectory)
         assert len(result.trajectory.times) == 1 + max_steps // 16
 
 
@@ -422,11 +478,10 @@ def test_overflowing_member_fails_alone_and_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning fails the test
         got = integrate_stack([h for h, _ in members], [psi for _, psi in members], grid, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericFailure) as solo:
-            _reference_integrate(blowup, StateVector.basis(2, 0), grid, cfg)
+    with pytest.raises(NumericFailure) as solo:
+        integrate(blowup, StateVector.basis(2, 0), grid, cfg)
     assert isinstance(got[1], NumericFailure)
     assert str(got[1]) == str(solo.value)
     for (h_fn, psi0), result in zip(members[::2], got[::2]):
-        ref = _reference_integrate(h_fn, psi0, grid, cfg)
-        np.testing.assert_array_equal(result.states, ref.states)
+        np.testing.assert_array_equal(result.states, integrate(h_fn, psi0, grid, cfg).states)
+        _assert_matches_reference(result, _reference_integrate(h_fn, psi0, grid, cfg))
