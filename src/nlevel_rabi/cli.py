@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import json
 import sys
@@ -438,9 +439,11 @@ def cmd_sweep(args) -> int:
     flags = _flag_overrides(args)
     base = load_config(args.config, flags)
     key = args.param.partition(".")[2]
+    values = args.values.replace(",", " ").split()
+    if not values:
+        raise ConfigError(f"--values {args.values!r} holds no values")
     # every value is resolved, and so refused, before anything is written
-    cfgs = [load_config(args.config, {**flags, key: text})
-            for text in args.values.replace(",", " ").split()]
+    cfgs = [load_config(args.config, {**flags, key: text}) for text in values]
     _refuse_idle_rk4_flags(args, cfgs)
     tasks = _tasks(cfgs, args.step, args.max_steps)  # refuses a bad --step or --max-steps
     outdir = Path(args.outdir)
@@ -512,7 +515,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and reused after it."""
     parser = _Parser(
         prog="nlevel-rabi",
         description="Multilevel Rabi oscillation simulator (RWA).",
@@ -521,20 +526,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form eigenvalues and basis of C")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("evolve", help="run one solver, write a trajectory")
     _add_run_flags(p, RUN_KEYS, rk4=True)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("exact-check", help="report the consistency condition")
     _add_run_flags(p, (), rk4=False)
-    p.set_defaults(func=cmd_exact_check)
 
     p = sub.add_parser("compare", help="run two solvers, emit a deviation report")
     _add_run_flags(p, [k for k in RUN_KEYS if k not in ("solver", "format")], rk4=True)
     p.add_argument("--solvers", required=True, help="pair like 'exact,numeric-rwa'")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="fan a parameter over values, one file per run")
     _add_run_flags(p, [k for k in RUN_KEYS if k != "output"], rk4=True)
@@ -542,14 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--outdir", required=True)
     p.add_argument("--jobs", type=int, default=4)
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up by name on each call, not bound when the parser is built, so that a
+        # cmd_* function replaced after the first call (as bench/spans.py does) runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConsistencyError as exc:
         record = {
             "error": "consistency",

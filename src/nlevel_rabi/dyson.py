@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import ConfigError, Detunings, DriveSpec, LevelSpec, StateVector
 from .model import detunings, is_resonant, residual_coupling, to_lab_frame
-from .spectral import exp_c
+from .spectral import decompose, exp_c
 
 __all__ = [
     "DysonConfig",
@@ -69,8 +69,22 @@ def max_quadrature_step(g: float, det: Detunings) -> float:
 
 
 def a_matrix(n: int, g: float, det: Detunings, t) -> np.ndarray:
-    """Interaction-picture coupling exp(+i*g*t*C) R(t) exp(-i*g*t*C)."""
-    return exp_c(n, -g, t) @ residual_coupling(det, t) @ exp_c(n, g, t)
+    """Interaction-picture coupling exp(+i*g*t*C) R(t) exp(-i*g*t*C).
+
+    Formed in the sine eigenbasis O of C as O [P(t) * (O^T R(t) O)] O^T, with the
+    phases P_ab = e^{i*g*t*lambda_a} e^{-i*g*t*lambda_b} applied entrywise.
+    """
+    dec = decompose(n)
+    o = dec.basis
+    phase = np.exp(np.multiply.outer(1j * g * np.asarray(t), dec.eigenvalues)).reshape(-1, n)
+    # the stack held row index first, (n, len(t), n), so that O^T X and X O are each
+    # one 2-D product rather than a stack of small ones
+    x = np.moveaxis(residual_coupling(det, t).reshape(-1, n, n), 1, 0).reshape(-1, n)
+    x = (o.T @ (x @ o).reshape(n, -1)).reshape(n, -1, n)
+    x *= phase.T[:, :, None]
+    x *= phase.conj()
+    x = o @ (x.reshape(-1, n) @ o.T).reshape(n, -1)
+    return np.moveaxis(x.reshape(n, -1, n), 0, 1).reshape(np.shape(t) + (n, n))
 
 
 def a_matrix_3(g: float, eps: float, t: float) -> np.ndarray:
@@ -91,31 +105,53 @@ def a_matrix_3(g: float, eps: float, t: float) -> np.ndarray:
     return 0.5 * np.array([[a11, a12, a13], [a21, a22, a23], [a31, a32, a33]])
 
 
-def _simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Composite Simpson over axis 0; requires an even interval count."""
-    m = values.shape[0] - 1
-    if m % 2:
-        raise ValueError("Simpson rule needs an even number of intervals")
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (h / 3.0) * np.tensordot(w, values, axes=(0, 0))
+def _running_integral(a: np.ndarray, h: np.ndarray, m: np.ndarray,
+                      start: np.ndarray) -> np.ndarray:
+    """Int_0^s A at every node of every sample, O(h^4) accurate.
 
-
-def _cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Running integral at every grid point, O(h^4) accurate.
-
-    Even points use the composite Simpson prefix; odd points add the
+    Sample i has nodes start[i] .. start[i] + m[i] of the stack ``a``, spaced
+    h[i].  Even nodes take the composite Simpson prefix; odd nodes add the
     three-point half-panel rule h/12 * (5 f_k + 8 f_{k+1} - f_{k+2}).
     """
-    m = values.shape[0] - 1
-    if m % 2:
-        raise ValueError("cumulative Simpson needs an even number of intervals")
-    f0, f1, f2 = values[:-2:2], values[1:-1:2], values[2::2]
-    out = np.zeros_like(values)
-    np.cumsum((h / 3.0) * (f0 + 4.0 * f1 + f2), axis=0, out=out[2::2])
-    out[1::2] = out[:-2:2] + (h / 12.0) * (5.0 * f0 + 8.0 * f1 - f2)
+    panels = m // 2
+    ends = np.cumsum(panels)
+    # first node of every panel: start[i] + 2p for panel p of sample i
+    first = np.repeat(start - 2 * (ends - panels), panels) + 2 * np.arange(ends[-1])
+    hp = np.repeat(h, panels)[:, None, None]
+    panel, f1, f2 = a[first], a[first + 1], a[first + 2]
+    half = (hp / 12.0) * (5.0 * panel + 8.0 * f1 - f2)
+    panel += 4.0 * f1  # in place, to hold fewer panel-sized arrays at once
+    panel += f2
+    panel *= hp / 3.0
+    del f1, f2
+    for lo, hi in zip(ends - panels, ends):
+        np.cumsum(panel[lo:hi], axis=0, out=panel[lo:hi])
+    out = np.zeros_like(a)
+    out[first + 2] = panel
+    out[first + 1] = out[first] + half
     return out
+
+
+def _series(n: int, g: float, det: Detunings, times: np.ndarray, m: np.ndarray,
+            order: int) -> np.ndarray:
+    """I - i*g Int A - g^2 Int A Int A, one matrix per time, by Simpson on m[i] intervals."""
+    h = times / m
+    start = np.cumsum(m + 1) - (m + 1)
+    # node k of sample i is k * h[i], its last node exactly t[i], as np.linspace gives them
+    k = np.arange(start[-1] + m[-1] + 1) - np.repeat(start, m + 1)
+    nodes = k * np.repeat(h, m + 1)
+    nodes[start + m] = times
+    a = a_matrix(n, g, det, nodes)
+    weight = np.where(k % 2, 4.0, 2.0)  # Simpson weights 1, 4, 2, 4, ..., 4, 1
+    weight[start] = weight[start + m] = 1.0
+    weight = weight[:, None, None]
+    third = (h / 3.0)[:, None, None]
+    series = np.eye(n) - 1j * g * (third * np.add.reduceat(weight * a, start))
+    if order == 2:
+        inner = a @ _running_integral(a, h, m, start)
+        inner *= weight
+        series -= g * g * (third * np.add.reduceat(inner, start))
+    return series
 
 
 # Upper bound on the matrix entries of one batched A(s) stack (8 MiB of complex).
@@ -127,8 +163,9 @@ def dyson_state(n: int, g: float, det: Detunings, psi0: StateVector, t,
     """Rotating-frame state exp(-i*g*t*C) * [truncated series] psi0.
 
     Each sample keeps its own Simpson nodes (m = ceil(t/q) rounded up to
-    even, h = t/m); A(s) is evaluated on the nodes of all samples in one
-    batched product, split into groups of samples only to bound memory.
+    even, h = t/m).  The nodes of all samples are stacked, A(s) is evaluated
+    on them in one call, and every sample's Simpson sums are segment sums of
+    that stack; samples are split into groups only to bound memory.
 
     The result is not normalized: a truncation at order k leaves an O(g^{k+1})
     norm defect.  Lab-frame assembly is a separate step via the frame unitary.
@@ -139,14 +176,9 @@ def dyson_state(n: int, g: float, det: Detunings, psi0: StateVector, t,
     m += m % 2
     series = np.empty((len(times), n, n), dtype=complex)
     per_batch = max(1, _STACK_ENTRIES // (n * n * (m.max() + 1)))
-    for batch in np.split(np.arange(len(times)), range(per_batch, len(times), per_batch)):
-        nodes = np.concatenate([np.linspace(0.0, times[i], m[i] + 1) for i in batch])
-        a = a_matrix(n, g, det, nodes)
-        for i, a_i in zip(batch, np.split(a, np.cumsum(m[batch] + 1)[:-1])):
-            h = times[i] / m[i]
-            series[i] = np.eye(n, dtype=complex) - 1j * g * _simpson(a_i, h)
-            if cfg.order == 2:
-                series[i] -= g * g * _simpson(a_i @ _cumulative_simpson(a_i, h), h)
+    for lo in range(0, len(times), per_batch):
+        batch = slice(lo, lo + per_batch)
+        series[batch] = _series(n, g, det, times[batch], m[batch], cfg.order)
     states = exp_c(n, g, times) @ series @ psi0.amp
     states[times == 0] = psi0.amp
     return states if np.ndim(t) else states[0]

@@ -317,11 +317,13 @@ def is_resonant(levels: LevelSpec, drive: DriveSpec, tol: float = 1e-12) -> bool
 
 def residual_coupling(det: Detunings, t) -> np.ndarray:
     """R(t): exp(+-i*eps_ij*t) on the detuned pairs (j - i >= 2), else 0; t.shape + (n, n)."""
-    pairs = _pairs(det.n)
-    on = [p for p, ij in enumerate(pairs) if ij in det.eps]
-    upper = np.zeros(np.shape(t) + (len(pairs),), dtype=complex)
-    upper[..., on] = np.exp(np.multiply.outer(t, 1j * np.array([det.eps[pairs[p]] for p in on])))
-    return _hermitian(np.zeros(det.n), upper)
+    r = np.zeros(np.shape(t) + (det.n, det.n), dtype=complex)
+    if det.eps:
+        i, j = np.array(list(det.eps)).T
+        phase = np.exp(np.multiply.outer(t, 1j * np.array(list(det.eps.values()))))
+        r[..., i, j] = phase
+        r[..., j, i] = phase.conj()
+    return r
 
 
 def split_c_r(levels: LevelSpec, drive: DriveSpec):

@@ -96,7 +96,8 @@ def exp_c(n: int, g: float, t, method: str = "eigen") -> np.ndarray:
     if method == "eigen":
         dec = decompose(n)
         phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), dec.eigenvalues))
-        return (dec.basis * phase[..., None, :]) @ dec.basis.T
+        x = dec.basis * phase[..., None, :]
+        return (x.reshape(-1, n) @ dec.basis.T).reshape(x.shape)  # one 2-D product, not a stack
     if method == "components":
         s = np.sin(_sine_args(n))
         phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), eigenvalues(n)))

@@ -340,6 +340,16 @@ def test_bad_flag_or_sweep_value_exits_2_with_one_json_line(tmp_path, capsys, ar
     assert not outdir.exists()
 
 
+def test_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path, g="0.1", fmt="json")
+    flagged, plain = tmp_path / "flagged.json", tmp_path / "plain.json"
+    assert main(["evolve", cfg, "--g", "0.25", "--output", str(flagged)]) == 0
+    assert main(["evolve", cfg, "--output", str(plain)]) == 0
+    assert json.loads(flagged.read_text())["config"]["g"] == 0.25
+    assert json.loads(plain.read_text())["config"]["g"] == 0.1
+
+
 def test_run_key_table_matches_the_flags(capsys):
     assert set(RUN_KEYS) <= set(vars(build_parser().parse_args(["evolve", "run.ini"])))
     with pytest.raises(SystemExit):
@@ -400,6 +410,9 @@ REFUSED = {
     "compare-output-missing-dir": (["compare", "{cfg}", "--solvers", "exact,numeric-rwa",
                                     "--output", "{out}/r.json"], {}),
     "sweep-outdir-is-a-file": (SWEEP[:-1] + ["{cfg}"], {}),
+    # a sweep with no values, refused before --outdir is made
+    **{f"sweep-values-{name}": (SWEEP[:5] + [values] + SWEEP[6:], {})
+       for name, values in [("empty", ""), ("comma", ","), ("space", " ")]},
 }
 
 

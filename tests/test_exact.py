@@ -91,6 +91,14 @@ def test_exp_q_unitary_and_group():
             assert np.max(np.abs(m1 @ m2 - exp_q(n, g, t1 + t2))) < 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 10), st.floats(0.01, 2.0), st.floats(0.0, 30.0), st.floats(0.0, 30.0))
+def test_exp_q_is_unitary_with_the_group_property(n, g, s, t):
+    u_s = exp_q(n, g, s)
+    assert np.max(np.abs(u_s @ u_s.conj().T - np.eye(n))) < 1e-12
+    assert np.max(np.abs(u_s @ exp_q(n, g, t) - exp_q(n, g, s + t))) < 1e-12
+
+
 def _ground_config(n, g=0.1):
     lev = LevelSpec(tuple(float(k) for k in range(n)))
     return lev, apply_resonance(lev, g=g), StateVector.basis(n, 0)

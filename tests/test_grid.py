@@ -2,7 +2,8 @@
 
 Each solver takes a 1-D time grid and returns one row per time; a scalar
 time is a grid of one.  The grid path batches its work over all samples, so
-results may differ from the scalar path only in the last bits.
+results may differ from the scalar path only in the last bits.  The batched
+Dyson quadrature is also checked against the per-sample loop it replaced.
 """
 
 import io
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 from nlevel_rabi import dyson
-from nlevel_rabi.dyson import DysonConfig, approximate_solution_3, dyson_state
+from nlevel_rabi.dyson import DysonConfig, a_matrix, approximate_solution_3, dyson_state
 from nlevel_rabi.exact import exact_evolution
-from nlevel_rabi.model import Detunings, LevelSpec, StateVector, apply_resonance
+from nlevel_rabi.model import (Detunings, LevelSpec, StateVector, apply_resonance,
+                               residual_coupling)
 from nlevel_rabi.propagate import Trajectory
+from nlevel_rabi.spectral import exp_c
 
 TOL = 1e-13
 
@@ -96,10 +99,97 @@ def _loop_cumulative_simpson(values, h):
 
 
 def test_cumulative_simpson_equals_loop():
+    # three samples of 2, 12 and 40 intervals, stacked node after node as dyson_state does
     rng = np.random.default_rng(1)
-    values = rng.normal(size=(41, 3, 3)) + 1j * rng.normal(size=(41, 3, 3))
-    np.testing.assert_array_equal(dyson._cumulative_simpson(values, 0.013),
-                                  _loop_cumulative_simpson(values, 0.013))
+    m = np.array([2, 12, 40])
+    h = np.array([0.5, 0.013, 0.25])
+    start = np.cumsum(m + 1) - (m + 1)
+    values = rng.normal(size=(np.sum(m + 1), 3, 3)) + 1j * rng.normal(size=(np.sum(m + 1), 3, 3))
+    got = dyson._running_integral(values, h, m, start)
+    ref = np.concatenate([_loop_cumulative_simpson(values[s:s + mi + 1], hi)
+                          for s, mi, hi in zip(start, m, h)])
+    np.testing.assert_array_equal(got, ref)
+
+
+def _reference_simpson(values, h):
+    w = np.ones(values.shape[0])
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (h / 3.0) * np.tensordot(w, values, axes=(0, 0))
+
+
+def _reference_a_matrix(n, g, det, t):
+    # A(t) as the exp_c sandwich, one stacked product per factor
+    return exp_c(n, -g, t) @ residual_coupling(det, t) @ exp_c(n, g, t)
+
+
+def _reference_dyson_state(n, g, det, psi0, t, cfg):
+    # the per-sample loop: each sample's own linspace nodes and Simpson sums
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    series = []
+    for ti in times:
+        m = max(2, int(np.ceil(ti / cfg.quadrature_step)))
+        m += m % 2
+        a, h = _reference_a_matrix(n, g, det, np.linspace(0.0, ti, m + 1)), ti / m
+        s = np.eye(n, dtype=complex) - 1j * g * _reference_simpson(a, h)
+        if cfg.order == 2:
+            s -= g * g * _reference_simpson(a @ _loop_cumulative_simpson(a, h), h)
+        series.append(s)
+    states = exp_c(n, g, times) @ np.array(series) @ psi0.amp
+    states[times == 0] = psi0.amp
+    return states if np.ndim(t) else states[0]
+
+
+# over 3x the largest deviation from the per-sample loop on these cases (2.8e-15),
+# well inside the 1e-13 to which solver outputs are preserved
+REFERENCE_TOL = 1e-14
+
+DETUNED = {
+    2: Detunings(2, {}),
+    3: Detunings(3, {(0, 2): 0.5}),
+    4: Detunings(4, {(0, 2): 0.3, (1, 3): -0.2, (0, 3): 0.1}),
+    8: Detunings(8, {(i, j): 0.1 * (i - j) + 0.05 * i for i in range(8) for j in range(i + 2, 8)}),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_a_matrix_matches_exp_c_sandwich(n):
+    grid = np.linspace(0.0, 12.0, 301)
+    assert np.max(np.abs(a_matrix(n, 0.7, DETUNED[n], grid)
+                         - _reference_a_matrix(n, 0.7, DETUNED[n], grid))) < REFERENCE_TOL
+    got = a_matrix(n, 0.7, DETUNED[n], 4.2)
+    assert got.shape == (n, n)
+    assert np.max(np.abs(got - _reference_a_matrix(n, 0.7, DETUNED[n], 4.2))) < REFERENCE_TOL
+
+
+# t = 0, an odd ceil(t/q) (0.75 / 0.25 = 3, rounded up to 4 intervals) and a scalar t
+GRIDS = {"grid": np.array([0.0, 0.75, 1.0, 2.6, 5.0]), "scalar": 2.6}
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_dyson_state_matches_per_sample_loop(n, order, grid):
+    cfg = DysonConfig(order=order, quadrature_step=0.25)
+    rng = np.random.default_rng(10 * n + order)
+    psi0 = StateVector.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
+    got = dyson_state(n, 0.3, DETUNED[n], psi0, grid, cfg)
+    ref = _reference_dyson_state(n, 0.3, DETUNED[n], psi0, grid, cfg)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < REFERENCE_TOL
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [3, 8])
+def test_split_node_batches_match_per_sample_loop(monkeypatch, n, order):
+    cfg = DysonConfig(order=order, quadrature_step=0.05)
+    grid = np.linspace(0.0, 6.0, 13)
+    psi0 = StateVector.basis(n, n - 1)
+    # n^2 entries per node and at most 121 nodes per sample: groups of two samples
+    monkeypatch.setattr(dyson, "_STACK_ENTRIES", n * n * 2 * 121)
+    got = dyson_state(n, 0.3, DETUNED[n], psi0, grid, cfg)
+    ref = _reference_dyson_state(n, 0.3, DETUNED[n], psi0, grid, cfg)
+    assert np.max(np.abs(got - ref)) < REFERENCE_TOL
 
 
 def _reference_csv(traj):

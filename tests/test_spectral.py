@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlevel_rabi.propagate import expm_generic
 from nlevel_rabi.spectral import (
@@ -130,6 +132,24 @@ def test_exp_c_group_property():
             t1, t2 = rng.uniform(0, 15, size=2)
             lhs = exp_c(n, g, t1) @ exp_c(n, g, t2)
             assert np.max(np.abs(lhs - exp_c(n, g, t1 + t2))) < 1e-11
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_exp_c_equals_the_stacked_product(n):
+    # exp_c applies O^T as one 2-D product; the stacked matmul it replaced gives the same bits
+    dec = decompose(n)
+    for t in (1.7, np.array([2.5]), np.linspace(0.0, 40.0, 57)):
+        phase = np.exp(np.multiply.outer(-1j * 0.3 * np.asarray(t), dec.eigenvalues))
+        np.testing.assert_array_equal(exp_c(n, 0.3, t),
+                                      (dec.basis * phase[..., None, :]) @ dec.basis.T)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 10), st.floats(0.01, 2.0), st.floats(0.0, 30.0), st.floats(0.0, 30.0))
+def test_exp_c_is_unitary_with_the_group_property(n, g, s, t):
+    u_s, u_t, u_sum = exp_c(n, g, np.array([s, t, s + t]))
+    assert np.max(np.abs(u_s @ u_s.conj().T - np.eye(n))) < 1e-12
+    assert np.max(np.abs(u_s @ u_t - u_sum)) < 1e-12
 
 
 def test_exp_c_methods_agree():
