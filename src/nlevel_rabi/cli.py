@@ -71,7 +71,12 @@ EXIT_NUMERIC = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved simulation run."""
+    """One fully resolved simulation run.
+
+    Construction builds the run's ``levels``, ``drive`` (RWA unless the solver is
+    numeric-full) and normalised ``psi0`` once, so a fault any of them would
+    reveal is refused here, before anything runs or is written.
+    """
 
     energies: tuple
     g: float
@@ -92,33 +97,19 @@ class RunConfig:
             raise ConfigError("samples must be >= 2")
         if not 0 < self.t_max < np.inf:
             raise ConfigError("t_max must be positive and finite")
+        levels = LevelSpec(self.energies)
+        drive = DriveSpec(levels.n, self.omega, self.g, rwa=self.solver != "numeric-full")
+        psi0 = StateVector.normalized(self.initial)
+        if psi0.n != levels.n:
+            raise ConfigError(f"initial state must have {levels.n} amplitudes")
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        object.__setattr__(
-            self, "omega", {(int(i), int(j)): float(w) for (i, j), w in self.omega.items()}
-        )
-        amp = np.asarray(self.initial, dtype=complex)
-        norm = np.linalg.norm(amp)
-        if norm == 0:
-            raise ConfigError("initial state must be nonzero")
-        object.__setattr__(self, "initial", tuple(complex(z) for z in amp / norm))
+        object.__setattr__(self, "omega", drive.omega)
+        object.__setattr__(self, "initial", tuple(complex(z) for z in psi0.amp))
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "drive", drive)
+        object.__setattr__(self, "psi0", psi0)
 
     __hash__ = None  # omega is a dict
-
-    @property
-    def levels(self) -> LevelSpec:
-        return LevelSpec(self.energies)
-
-    @property
-    def rwa(self) -> bool:
-        return self.solver != "numeric-full"
-
-    @property
-    def drive(self) -> DriveSpec:
-        return DriveSpec(n=len(self.energies), omega=self.omega, g=self.g, rwa=self.rwa)
-
-    @property
-    def psi0(self) -> StateVector:
-        return StateVector(np.asarray(self.initial))
 
     def to_dict(self) -> dict:
         return {
@@ -214,18 +205,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return RunConfig(energies=energies, omega=omega, **run)
 
 
-def _integrator_for(cfg: RunConfig, step_override=None, max_steps=None) -> IntegratorConfig:
-    scale = max(
-        max(cfg.omega.values()),
-        float(np.max(np.abs(cfg.levels.deltas))),
-        cfg.g,
-        1.0,
-    )
-    step = step_override if step_override is not None else min(1e-3, 0.1 / scale)
-    kwargs = {"step": step}
-    if max_steps is not None:
-        kwargs["max_steps"] = max_steps
-    return IntegratorConfig(**kwargs)
+def _integrator_for(cfg: RunConfig, step=None, max_steps=None) -> IntegratorConfig:
+    """cfg's RK4 settings: a step of 0.1 over its fastest rate (at most 1e-3) unless overridden."""
+    scale = max(*cfg.omega.values(), *cfg.levels.energies, cfg.g, 1.0)
+    return IntegratorConfig(min(1e-3, 0.1 / scale) if step is None else step,
+                            IntegratorConfig.max_steps if max_steps is None else max_steps)
 
 
 def _solve_exact(cfg: RunConfig, grid, step, max_steps):
@@ -250,7 +234,7 @@ def _solve_dyson2(cfg: RunConfig, grid, step, max_steps):
 
 
 def _h_fn(cfg: RunConfig):
-    return (full_hamiltonian if cfg.rwa else full_hamiltonian_nonrwa)(cfg.levels, cfg.drive)
+    return (full_hamiltonian if cfg.drive.rwa else full_hamiltonian_nonrwa)(cfg.levels, cfg.drive)
 
 
 def _solve_numeric(cfg: RunConfig, grid, step, max_steps):
@@ -280,34 +264,29 @@ def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory
     return Trajectory(grid, SOLVER_TABLE[cfg.solver](cfg, grid, step_override, max_steps))
 
 
-# run status -> (what a run fails with, exit code); ConsistencyError is a ConfigError, so it is
-# first; an io run solved but its file could not be written
+# status -> (what a command or run fails with, exit code): the one table of refusals and
+# failures.  ConsistencyError is a ConfigError, so it is first; io is an unwritable output
 RUN_FAILURES = {
-    "consistency": (ConsistencyError, EXIT_PRECONDITION),
-    "config": (ConfigError, EXIT_CONFIG),
-    "io": (OSError, EXIT_CONFIG),
+    "consistency": ((ConsistencyError,), EXIT_PRECONDITION),
+    "config": ((ConfigError,), EXIT_CONFIG),
+    "io": ((OSError,), EXIT_CONFIG),
     "numeric": ((NumericFailure, StepBudgetExceeded), EXIT_NUMERIC),
 }
+_FAILURES = sum((kinds for kinds, _ in RUN_FAILURES.values()), ())
 
 
 def _status(exc: Exception) -> str:
-    return next(status for status, (kind, _) in RUN_FAILURES.items() if isinstance(exc, kind))
+    return next(status for status, (kinds, _) in RUN_FAILURES.items() if isinstance(exc, kinds))
 
 
-def _tasks(cfgs, step, max_steps) -> list:
-    """Indices of cfgs, grouped into tasks.
+def _refusal(status: str, message: str, **extra) -> int:
+    """Print the one-line JSON error record of a refused or failed command; its exit code."""
+    print(json.dumps({"error": status, "message": message, **extra}), file=sys.stderr)
+    return RUN_FAILURES[status][1]
 
-    RK4 runs (numeric-rwa and numeric-full alike) that share n, t_max, samples
-    and integrator settings form one task, solved as one RK4 stack; every
-    other run is a task of its own.
-    """
-    tasks = {}
-    for idx, cfg in enumerate(cfgs):
-        key = idx
-        if SOLVER_TABLE[cfg.solver] is _solve_numeric:
-            key = (len(cfg.energies), cfg.t_max, cfg.samples, _integrator_for(cfg, step, max_steps))
-        tasks.setdefault(key, []).append(idx)
-    return list(tasks.values())
+
+def _violations(report) -> list:
+    return [{"pair": list(ij), "epsilon": v} for ij, v in report.violations]
 
 
 def _run_task(cfgs, step, max_steps) -> list:
@@ -315,25 +294,34 @@ def _run_task(cfgs, step, max_steps) -> list:
     if len(cfgs) == 1:
         try:
             return [run_solver(cfgs[0], step, max_steps)]
-        except (ConfigError, NumericFailure, StepBudgetExceeded) as exc:
+        except _FAILURES as exc:
             return [exc]
     grid = np.linspace(0.0, cfgs[0].t_max, cfgs[0].samples)
     return integrate_stack([_h_fn(cfg) for cfg in cfgs], [cfg.psi0 for cfg in cfgs], grid,
                            _integrator_for(cfgs[0], step, max_steps))
 
 
-def _run_all(cfgs, tasks, step, max_steps, finish, pool_map=map) -> list:
+def _run_all(cfgs, step, max_steps, finish, pool_map=map) -> list:
     """finish(index, result) for every cfg, where result is what _run_task gives for it.
 
-    The tasks (from ``_tasks``) go through ``pool_map``.  finish runs in the
-    task's worker, so a sweep writes each trajectory and drops it as its task
-    ends; finish's values come back in the order of cfgs.
+    RK4 runs (numeric-rwa and numeric-full alike) that share n, t_max, samples
+    and integrator settings form one task, solved as one RK4 stack; every
+    other run is a task of its own.  The tasks go through ``pool_map``.
+    finish runs in the task's worker, so a sweep writes each trajectory and
+    drops it as its task ends; finish's values come back in the order of cfgs.
     """
+    tasks = {}
+    for idx, cfg in enumerate(cfgs):
+        key = idx
+        if SOLVER_TABLE[cfg.solver] is _solve_numeric:
+            key = (cfg.levels.n, cfg.t_max, cfg.samples, _integrator_for(cfg, step, max_steps))
+        tasks.setdefault(key, []).append(idx)
+
     def run(task):
         results = _run_task([cfgs[idx] for idx in task], step, max_steps)
         return [(idx, finish(idx, result)) for idx, result in zip(task, results)]
 
-    done = dict(itertools.chain.from_iterable(pool_map(run, tasks)))
+    done = dict(itertools.chain.from_iterable(pool_map(run, tasks.values())))
     return [done[idx] for idx in range(len(cfgs))]
 
 
@@ -372,15 +360,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _refuse_idle_rk4_flags(args, cfgs):
-    if ((args.step is not None or args.max_steps is not None)
-            and all(SOLVER_TABLE[cfg.solver] is not _solve_numeric for cfg in cfgs)):
+def _check_rk4_flags(args, cfgs):
+    """Refuse --step and --max-steps unless a run of cfgs integrates, and any bad value of them."""
+    if args.step is None and args.max_steps is None:
+        return
+    rk4 = [cfg for cfg in cfgs if SOLVER_TABLE[cfg.solver] is _solve_numeric]
+    if not rk4:
         raise ConfigError("--step and --max-steps need a numeric-rwa or numeric-full run")
+    _integrator_for(rk4[0], args.step, args.max_steps)
 
 
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config, _flag_overrides(args))
-    _refuse_idle_rk4_flags(args, [cfg])
+    _check_rk4_flags(args, [cfg])
     _check_output(cfg.output)
     traj = run_solver(cfg, step_override=args.step, max_steps=args.max_steps)
     _write_trajectory(traj, cfg)
@@ -394,7 +386,7 @@ def cmd_exact_check(args) -> int:
     report = check_consistency(detunings(cfg.drive), default_consistency_tol(cfg.drive))
     doc = {
         "satisfied": report.satisfied,
-        "violations": [{"pair": list(ij), "epsilon": v} for ij, v in report.violations],
+        "violations": _violations(report),
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK if report.satisfied else EXIT_PRECONDITION
@@ -406,10 +398,9 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--solvers takes exactly two names, got {args.solvers!r}")
     base = load_config(args.config, _flag_overrides(args))
     cfgs = [replace(base, solver=name) for name in solvers]
-    _refuse_idle_rk4_flags(args, cfgs)
+    _check_rk4_flags(args, cfgs)
     _check_output(args.output)
-    trajs = _run_all(cfgs, _tasks(cfgs, args.step, args.max_steps), args.step, args.max_steps,
-                     lambda idx, result: result)
+    trajs = _run_all(cfgs, args.step, args.max_steps, lambda idx, result: result)
     for result in trajs:
         if isinstance(result, Exception):
             raise result
@@ -444,8 +435,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values {args.values!r} holds no values")
     # every value is resolved, and so refused, before anything is written
     cfgs = [load_config(args.config, {**flags, key: text}) for text in values]
-    _refuse_idle_rk4_flags(args, cfgs)
-    tasks = _tasks(cfgs, args.step, args.max_steps)  # refuses a bad --step or --max-steps
+    _check_rk4_flags(args, cfgs)
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -469,17 +459,15 @@ def cmd_sweep(args) -> int:
 
     # --jobs caps the tasks that run at once; one task may be a whole RK4 stack
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        entries = _run_all(cfgs, tasks, args.step, args.max_steps, finish, pool.map)
+        entries = _run_all(cfgs, args.step, args.max_steps, finish, pool.map)
     manifest = {"config": base.to_dict(), "param": args.param, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     failed = [entry for entry in entries if entry["status"] != "ok"]
     if failed:
         # the smallest exit code among the failed runs: config, io 2 < consistency 3 < numeric 4
         status = min((entry["status"] for entry in failed), key=lambda st: RUN_FAILURES[st][1])
-        message = (f"sweep runs {[entry['index'] for entry in failed]} failed; "
-                   f"see {outdir / 'manifest.json'}")
-        print(json.dumps({"error": status, "message": message}), file=sys.stderr)
-        return RUN_FAILURES[status][1]
+        return _refusal(status, f"sweep runs {[entry['index'] for entry in failed]} failed; "
+                                f"see {outdir / 'manifest.json'}")
     print(f"# wrote {len(entries)} runs to {outdir}", file=sys.stderr)
     return EXIT_OK
 
@@ -552,23 +540,9 @@ def main(argv=None) -> int:
         # looked up by name on each call, not bound when the parser is built, so that a
         # cmd_* function replaced after the first call (as bench/spans.py does) runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except ConsistencyError as exc:
-        record = {
-            "error": "consistency",
-            "message": str(exc),
-            "violations": [{"pair": list(ij), "epsilon": v} for ij, v in exc.report.violations],
-        }
-        print(json.dumps(record), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericFailure, StepBudgetExceeded) as exc:
-        print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:  # an output that passed _check_output but could not be written
-        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
+    except _FAILURES as exc:
+        extra = {"violations": _violations(exc.report)} if isinstance(exc, ConsistencyError) else {}
+        return _refusal(_status(exc), str(exc), **extra)
 
 
 if __name__ == "__main__":

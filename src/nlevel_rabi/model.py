@@ -177,6 +177,8 @@ class StateVector:
     @classmethod
     def normalized(cls, amps) -> "StateVector":
         a = np.asarray(amps, dtype=complex)
+        if not np.all(np.isfinite(a)):
+            raise ConfigError("amplitudes must be finite")
         norm = np.linalg.norm(a)
         if norm == 0:
             raise ConfigError("cannot normalize the zero vector")

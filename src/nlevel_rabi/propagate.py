@@ -7,6 +7,7 @@ drift stays visible as an error meter.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -93,23 +94,17 @@ class Trajectory:
 
         ``target`` may be a path or an open text stream.
         """
-        if hasattr(target, "write"):
-            self._write_csv(target)
-        else:
-            with open(target, "w") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh):
         n = self.n
         header = ["t"]
         header += [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
         header += [f"p_{k}" for k in range(n)]
-        fh.write(",".join(header) + "\n")
         # interleaved (re, im) pairs are the float64 view of the complex states
         table = np.column_stack([self.times, self.states.view(float), self.populations])
         line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        for block in np.split(table, range(256, len(table), 256)):  # bounds the text in memory
-            fh.write("".join([line % tuple(row) for row in block.tolist()]))
+        with _opened(target) as fh:
+            fh.write(",".join(header) + "\n")
+            for block in np.split(table, range(256, len(table), 256)):  # bounds the text in memory
+                fh.write("".join([line % tuple(row) for row in block.tolist()]))
 
     def as_dict(self, config: dict | None = None) -> dict:
         return {
@@ -121,14 +116,14 @@ class Trajectory:
 
     def to_json(self, target, config: dict | None = None):
         """JSON variant carrying the full input configuration as provenance."""
-        doc = self.as_dict(config)
-        if hasattr(target, "write"):
-            json.dump(doc, target, indent=2)
-            target.write("\n")
-        else:
-            with open(target, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+        with _opened(target) as fh:
+            json.dump(self.as_dict(config), fh, indent=2)
+            fh.write("\n")
+
+
+def _opened(target):
+    """``target`` if it is an open text stream, else the file at path ``target`` opened to write."""
+    return contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "w")
 
 
 _CHUNK = 64  # RK4 steps whose stage Hamiltonians are built in one h_fn call

@@ -602,3 +602,37 @@ def test_unwritable_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys):
     assert len(err) == 1
     assert json.loads(err[0]) == {"error": "io", "message":
                                   f"sweep runs [0] failed; see {outdir / 'manifest.json'}"}
+
+
+# a drive or start state the run cannot use, seen only once the run's physics is built
+EXPLICIT = "omega_0_1 = 1.0\nomega_1_2 = 1.0"
+UNUSABLE_RUNS = {
+    "explicit-without-omega_0_2": {"frequencies": "explicit", "extra_drive": EXPLICIT},
+    "explicit-negative-omega_0_2": {"frequencies": "explicit",
+                                    "extra_drive": EXPLICIT + "\nomega_0_2 = -1"},
+    "nan-initial": {"initial": "nan, 0, 0"},
+}
+
+
+@pytest.mark.parametrize("config", UNUSABLE_RUNS.values(), ids=UNUSABLE_RUNS.keys())
+def test_sweep_refuses_an_unusable_run_before_making_outdir(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, samples="3", t_max="2.0", **config)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.05,0.1",
+                 "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+    assert not outdir.exists()
+
+
+def test_non_finite_initial_state_is_one_json_line_and_no_warning(tmp_path, capsys):
+    cfg = write_config(tmp_path, initial="nan, 0, 0")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve", cfg]) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "config", "message": "amplitudes must be finite"}

@@ -20,7 +20,7 @@ from nlevel_rabi.model import (
     detunings,
     full_hamiltonian,
 )
-from nlevel_rabi.propagate import IntegratorConfig, expm_generic, integrate
+from nlevel_rabi.propagate import IntegratorConfig, expm_generic, integrate, integrate_stack
 
 
 def test_check_consistency_satisfied():
@@ -202,3 +202,16 @@ def test_exact_matches_rk4_on_random_resonant_ladders(case):
     grid = np.linspace(0.0, t_max, 11)
     rk4 = integrate(full_hamiltonian(levels, drive), psi0, grid, IntegratorConfig(step=1e-3))
     assert np.max(np.abs(exact_evolution(levels, drive, psi0, grid) - rk4.states)) <= 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(resonant_ladders(), st.floats(-50.0, 50.0))
+def test_a_shift_of_every_energy_leaves_the_states_unchanged(case, c):
+    levels, drive, psi0, t_max = case
+    shifted = LevelSpec(tuple(e + c for e in levels.energies))
+    grid = np.linspace(0.0, 2.0 * t_max, 11)  # t <= 10
+    exact = [exact_evolution(lev, drive, psi0, grid) for lev in (levels, shifted)]
+    assert np.max(np.abs(exact[0] - exact[1])) <= 1e-12
+    rk4 = integrate_stack([full_hamiltonian(lev, drive) for lev in (levels, shifted)],
+                          [psi0, psi0], grid, IntegratorConfig(step=1e-2))
+    assert np.max(np.abs(rk4[0].states - rk4[1].states)) <= 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ def test_state_vector_rejects_nan():
         StateVector(np.array([np.nan, 0.0]))
     with pytest.raises(ConfigError):
         StateVector(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_normalized_refuses_non_finite_amplitudes_without_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="finite"):
+            StateVector.normalized([bad, 0.0, 0.0])
 
 
 def test_build_h0():
