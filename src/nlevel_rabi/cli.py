@@ -21,7 +21,7 @@ Configuration lives in an INI-style file with three sections::
 
 Command-line flags override file keys.  Exit codes: 0 success, 2 config
 error or failed write, 3 precondition failure (e.g. consistency violation),
-4 numeric failure.
+4 numeric failure or a run that cannot allocate its arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import functools
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -265,12 +264,14 @@ def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory
 
 
 # status -> (what a command or run fails with, exit code): the one table of refusals and
-# failures.  ConsistencyError is a ConfigError, so it is first; io is an unwritable output
+# failures.  ConsistencyError is a ConfigError, so it is first; io is an unwritable output,
+# memory a run that cannot allocate its arrays
 RUN_FAILURES = {
     "consistency": ((ConsistencyError,), EXIT_PRECONDITION),
     "config": ((ConfigError,), EXIT_CONFIG),
     "io": ((OSError,), EXIT_CONFIG),
     "numeric": ((NumericFailure, StepBudgetExceeded), EXIT_NUMERIC),
+    "memory": ((MemoryError,), EXIT_NUMERIC),
 }
 _FAILURES = sum((kinds for kinds, _ in RUN_FAILURES.values()), ())
 
@@ -290,15 +291,18 @@ def _violations(report) -> list:
 
 
 def _run_task(cfgs, step, max_steps) -> list:
-    """Per cfg of one task: its Trajectory, or the refusal or failure of its run."""
-    if len(cfgs) == 1:
-        try:
+    """Per cfg of one task: its Trajectory, or the refusal or failure of its run.
+
+    A failure of a whole RK4 stack (one that cannot allocate, say) is every run's.
+    """
+    try:
+        if len(cfgs) == 1:
             return [run_solver(cfgs[0], step, max_steps)]
-        except _FAILURES as exc:
-            return [exc]
-    grid = np.linspace(0.0, cfgs[0].t_max, cfgs[0].samples)
-    return integrate_stack([_h_fn(cfg) for cfg in cfgs], [cfg.psi0 for cfg in cfgs], grid,
-                           _integrator_for(cfgs[0], step, max_steps))
+        grid = np.linspace(0.0, cfgs[0].t_max, cfgs[0].samples)
+        return integrate_stack([_h_fn(cfg) for cfg in cfgs], [cfg.psi0 for cfg in cfgs], grid,
+                               _integrator_for(cfgs[0], step, max_steps))
+    except _FAILURES as exc:
+        return [exc] * len(cfgs)
 
 
 def _run_all(cfgs, step, max_steps, finish, pool_map=map) -> list:
@@ -457,6 +461,9 @@ def cmd_sweep(args) -> int:
         return {**entry, "status": _status(result), "error": str(result), "file": None,
                 "norm_drift": None}
 
+    # imported here, not at the top: concurrent.futures pulls in logging, and only sweep uses it
+    from concurrent.futures import ThreadPoolExecutor
+
     # --jobs caps the tasks that run at once; one task may be a whole RK4 stack
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         entries = _run_all(cfgs, args.step, args.max_steps, finish, pool.map)
@@ -464,7 +471,8 @@ def cmd_sweep(args) -> int:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     failed = [entry for entry in entries if entry["status"] != "ok"]
     if failed:
-        # the smallest exit code among the failed runs: config, io 2 < consistency 3 < numeric 4
+        # the smallest exit code among the failed runs: config, io 2 < consistency 3 < numeric,
+        # memory 4
         status = min((entry["status"] for entry in failed), key=lambda st: RUN_FAILURES[st][1])
         return _refusal(status, f"sweep runs {[entry['index'] for entry in failed]} failed; "
                                 f"see {outdir / 'manifest.json'}")

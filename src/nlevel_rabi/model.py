@@ -176,10 +176,24 @@ class StateVector:
 
     @classmethod
     def normalized(cls, amps) -> "StateVector":
-        a = np.asarray(amps, dtype=complex)
+        """amps / ||amps||, with no overflow or underflow in the norm's squares.
+
+        Where the unscaled squares leave the normal range (a part near 1e308, or
+        all parts below 1e-154), the norm is taken again with the largest real or
+        imaginary part scaled by a power of two into [0.5, 1) (at most 2^1000 up).
+        So (1e308, 1e308) normalises to (1/sqrt 2, 1/sqrt 2), and every other input
+        gives the same bits as the unscaled quotient.
+        """
+        a = np.array(amps, dtype=complex, ndmin=1)
         if not np.all(np.isfinite(a)):
             raise ConfigError("amplitudes must be finite")
-        norm = np.linalg.norm(a)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(a)
+        if not 2.0 ** -511 <= norm < np.inf:
+            parts = a.view(float)  # (re, im) pairs: scaled as reals, exactly
+            _, exponent = np.frexp(np.max(np.abs(parts), initial=0.0))
+            a = (parts * 2.0 ** min(-int(exponent), 1000)).view(complex)
+            norm = np.linalg.norm(a)
         if norm == 0:
             raise ConfigError("cannot normalize the zero vector")
         return cls(a / norm)

@@ -57,8 +57,8 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ConfigError("step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ConfigError("step must be positive and finite")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be positive")
 
@@ -100,30 +100,55 @@ class Trajectory:
         header += [f"p_{k}" for k in range(n)]
         # interleaved (re, im) pairs are the float64 view of the complex states
         table = np.column_stack([self.times, self.states.view(float), self.populations])
-        line = ",".join(["%.17g"] * table.shape[1]) + "\n"
         with _opened(target) as fh:
             fh.write(",".join(header) + "\n")
-            for block in np.split(table, range(256, len(table), 256)):  # bounds the text in memory
-                fh.write("".join([line % tuple(row) for row in block.tolist()]))
-
-    def as_dict(self, config: dict | None = None) -> dict:
-        return {
-            "config": config or {},
-            "times": self.times.tolist(),
-            "states": self.states.view(float).reshape(*self.states.shape, 2).tolist(),
-            "populations": self.populations.tolist(),
-        }
+            _write_rows(fh.write, table, ",".join(["%.17g"] * table.shape[1]) + "\n")
 
     def to_json(self, target, config: dict | None = None):
-        """JSON variant carrying the full input configuration as provenance."""
+        """JSON variant carrying the full input configuration as provenance.
+
+        The text is ``json.dump(doc, fh, indent=2)`` and a newline, byte for byte,
+        where doc holds ``config`` (``{}`` if None), ``times``, ``states`` as
+        [re, im] pairs and ``populations``.  Each section's rows are written from
+        one ``%r`` template, the way ``to_csv`` writes its rows.
+        """
+        pops = self.populations
+        levels = lambda item: "    [\n" + ",\n".join([item] * self.n) + "\n    ]"
+        sections = (("times", self.times[:, None], "    %r"),
+                    ("states", self.states.view(float),
+                     levels("      [\n        %r,\n        %r\n      ]")),
+                    ("populations", pops, levels("      %r")))
+        # the config block at the depth it has in doc; json.dumps indents by depth alone
+        head = json.dumps({"config": config or {}}, indent=2)[: -len("\n}")]
         with _opened(target) as fh:
-            json.dump(self.as_dict(config), fh, indent=2)
-            fh.write("\n")
+            write = fh.write
+            if not (np.isfinite(self.times).all() and np.isfinite(pops).all()):
+                # json's spelling of repr's nan, inf and -inf; no finite repr holds these letters
+                write = lambda text: fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
+            fh.write(head)
+            for key, table, line in sections:
+                if not len(table):
+                    fh.write(f',\n  "{key}": []')
+                    continue
+                fh.write(f',\n  "{key}": [\n')
+                _write_rows(write, table, line, sep=",\n")
+                fh.write("\n  ]")
+            fh.write("\n}\n")
 
 
 def _opened(target):
     """``target`` if it is an open text stream, else the file at path ``target`` opened to write."""
     return contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "w")
+
+
+def _write_rows(write, table, line, sep=""):
+    """write ``line % row`` for each row of ``table``, with ``sep`` between rows.
+
+    Rows are formatted 256 at a time, which bounds the text held in memory.
+    """
+    for start in range(0, len(table), 256):
+        text = sep.join([line % tuple(row) for row in table[start : start + 256].tolist()])
+        write(sep + text if start else text)
 
 
 _CHUNK = 64  # RK4 steps whose stage Hamiltonians are built in one h_fn call

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -401,6 +404,9 @@ REFUSED = {
     "sweep-exact-step": (SWEEP + ["--step", "1e-3"], {}),
     "sweep-jobs-0": (SWEEP + ["--jobs", "0"], {}),
     "sweep-step-0": (SWEEP + ["--solver", "numeric-rwa", "--step", "0"], {}),
+    # a non-finite step would take one RK4 step per grid interval
+    "evolve-step-inf": (["evolve", "{cfg}", "--solver", "numeric-rwa", "--step", "inf"], {}),
+    "sweep-step-inf": (SWEEP + ["--solver", "numeric-rwa", "--step", "inf"], {}),
     "dyson2-detuned-adjacent": (["evolve", "{cfg}", "--solver", "dyson2"], {
         "frequencies": "explicit", "g": "0.05", "t_max": "10.0",
         "extra_drive": "omega_0_1 = 1.3\nomega_1_2 = 1.0\nomega_0_2 = 2.3"}),
@@ -636,3 +642,42 @@ def test_non_finite_initial_state_is_one_json_line_and_no_warning(tmp_path, caps
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "config", "message": "amplitudes must be finite"}
+
+
+def _cannot_allocate(*args):
+    raise MemoryError("Unable to allocate 298. GiB for an array")
+
+
+def test_run_that_cannot_allocate_exits_4_with_one_json_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(SOLVER_TABLE, "exact", _cannot_allocate)
+    assert main(["evolve", write_config(tmp_path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "memory",
+                               "message": "Unable to allocate 298. GiB for an array"}
+
+
+@pytest.mark.parametrize("solver", ["exact", "numeric-rwa"], ids=["solo", "rk4-stack"])
+def test_sweep_run_that_cannot_allocate_is_recorded_in_the_manifest(tmp_path, capsys,
+                                                                    monkeypatch, solver):
+    monkeypatch.setitem(SOLVER_TABLE, "exact", _cannot_allocate)
+    monkeypatch.setattr(cli, "integrate_stack", _cannot_allocate)  # the numeric-rwa stack
+    cfg = write_config(tmp_path, t_max="1.0", samples="3")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,0.2", "--solver", solver,
+                 "--outdir", str(outdir), "--jobs", "1"]) == 4
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert [(run["status"], run["file"]) for run in runs] == [("memory", None)] * 2
+    assert {run["error"] for run in runs} == {"Unable to allocate 298. GiB for an array"}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "memory", "message":
+                                  f"sweep runs [0, 1] failed; see {outdir / 'manifest.json'}"}
+
+
+def test_importing_the_cli_leaves_concurrent_futures_to_sweep():
+    code = "import sys, nlevel_rabi.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlevel_rabi.model import (
     ConfigError,
@@ -85,6 +87,42 @@ def test_normalized_refuses_non_finite_amplitudes_without_warning(bad):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="finite"):
             StateVector.normalized([bad, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("amps, expected", [
+    ([1e308, 1e308, 0.0], [2 ** -0.5, 2 ** -0.5, 0.0]),
+    ([-1.7e308, 1.7e308j, 1.7e308], [-(3 ** -0.5), 3 ** -0.5 * 1j, 3 ** -0.5]),
+    ([1e-200, 1e-200j, 0.0], [2 ** -0.5, 2 ** -0.5 * 1j, 0.0]),
+    ([5e-324, 0.0, 0.0], [1.0, 0.0, 0.0]),
+], ids=["1e308", "1.7e308", "1e-200", "min-subnormal"])
+def test_normalized_scales_extreme_amplitudes_without_warning(amps, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amp = StateVector.normalized(amps).amp
+    np.testing.assert_allclose(amp, expected, rtol=0, atol=3e-16)
+
+
+FINITE_AMPS = st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                       min_size=2, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FINITE_AMPS)
+def test_normalized_keeps_the_unscaled_bits_and_scales_only_out_of_range_norms(amps):
+    a = np.array(amps, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if not np.any(a):
+        with pytest.raises(ConfigError, match="zero vector"):
+            StateVector.normalized(amps)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amp = StateVector.normalized(amps).amp
+    if 2.0 ** -511 <= norm < np.inf:  # the squares stay normal: the unscaled quotient, bit for bit
+        assert (amp.view(np.int64) == (a / norm).view(np.int64)).all()
+    else:  # overflowed or underflowed unscaled: now a unit vector all the same
+        assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
 
 
 def test_build_h0():

@@ -1,8 +1,11 @@
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlevel_rabi.model import (
     ConfigError,
@@ -128,8 +131,9 @@ def test_numeric_failure_on_overflow():
 
 
 def test_integrator_config_validation():
-    with pytest.raises(ConfigError):
-        IntegratorConfig(step=0.0)
+    for step in (0.0, np.inf, np.nan, -np.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            IntegratorConfig(step=step)
     with pytest.raises(ConfigError):
         IntegratorConfig(max_steps=0)
 
@@ -261,7 +265,49 @@ def test_trajectory_json_matches_per_element_reference(n):
         "states": [[[float(z.real), float(z.imag)] for z in row] for row in traj.states],
         "populations": traj.populations.tolist(),
     }
-    assert json.dumps(traj.as_dict(), indent=2) == json.dumps(reference, indent=2)
+    out = io.StringIO()
+    traj.to_json(out)
+    assert out.getvalue() == json.dumps(reference, indent=2) + "\n"
+
+
+# floats with a spelling of their own: signed zero, subnormals, the extremes, nan and infinities
+NASTY_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, np.nan, np.inf, -np.inf]))
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                        st.lists(st.floats(), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 8), st.data(),
+       st.one_of(st.none(), st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3)))
+def test_to_json_is_the_stdlib_indent_2_text(rows, n, data, config):
+    times = data.draw(st.lists(NASTY_FLOATS, min_size=rows, max_size=rows))
+    parts = data.draw(st.lists(NASTY_FLOATS, min_size=2 * rows * n, max_size=2 * rows * n))
+    states = np.array(parts, dtype=float).view(complex).reshape(rows, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # |z|^2 of 1e308 is inf
+        populations = (np.abs(states) ** 2).tolist()
+        out = io.StringIO()
+        Trajectory(times, states).to_json(out, config=config)
+    reference = {
+        "config": config or {},
+        "times": times,
+        "states": [[parts[j : j + 2] for j in range(2 * n * r, 2 * n * (r + 1), 2)]
+                   for r in range(rows)],
+        "populations": populations,
+    }
+    assert out.getvalue() == json.dumps(reference, indent=2) + "\n"
+
+
+def test_to_json_writes_rows_in_blocks_with_the_stdlib_text(tmp_path):
+    # 600 rows: three 256-row blocks, so the separators between blocks are checked too
+    rng = np.random.default_rng(3)
+    traj = Trajectory(np.linspace(0.0, 6.0, 600), rng.normal(size=(600, 3)) + 1j)
+    path = tmp_path / "traj.json"
+    traj.to_json(path, config={"g": 0.1})
+    doc = {"config": {"g": 0.1}, "times": traj.times.tolist(),
+           "states": [[[z.real, z.imag] for z in row] for row in traj.states.tolist()],
+           "populations": traj.populations.tolist()}
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_rwa_vs_cosine_drive_weak_coupling():
