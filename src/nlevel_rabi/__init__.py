@@ -12,13 +12,11 @@ from .model import (
     LevelSpec,
     StateVector,
     apply_resonance,
-    build_h0,
     build_interaction_rwa,
     detunings,
     full_hamiltonian,
     full_hamiltonian_nonrwa,
     rotating_frame,
-    split_c_r,
     transformed_hamiltonian,
 )
 from .spectral import SpectralDecomp, char_poly, coupling_matrix, decompose, exp_c, exp_c3

@@ -73,8 +73,9 @@ class RunConfig:
     """One fully resolved simulation run.
 
     Construction builds the run's ``levels``, ``drive`` (RWA unless the solver is
-    numeric-full) and normalised ``psi0`` once, so a fault any of them would
-    reveal is refused here, before anything runs or is written.
+    numeric-full), normalised ``psi0`` and RK4 ``integrator`` (None unless the
+    solver integrates) once, so a fault any of them would reveal is refused
+    here, before anything runs or is written.
     """
 
     energies: tuple
@@ -86,6 +87,8 @@ class RunConfig:
     initial: tuple
     output: str | None = None
     format: str = "csv"
+    step: float | None = None
+    max_steps: int | None = None
 
     def __post_init__(self):
         if self.solver not in SOLVER_TABLE:
@@ -101,12 +104,20 @@ class RunConfig:
         psi0 = StateVector.normalized(self.initial)
         if psi0.n != levels.n:
             raise ConfigError(f"initial state must have {levels.n} amplitudes")
+        integrator = None
+        if SOLVER_TABLE[self.solver] is _solve_numeric:
+            # a step of 0.1 over the fastest rate (at most 1e-3) unless overridden
+            scale = max(*drive.omega.values(), *levels.energies, self.g, 1.0)
+            integrator = IntegratorConfig(
+                min(1e-3, 0.1 / scale) if self.step is None else self.step,
+                IntegratorConfig.max_steps if self.max_steps is None else self.max_steps)
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         object.__setattr__(self, "omega", drive.omega)
         object.__setattr__(self, "initial", tuple(complex(z) for z in psi0.amp))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "drive", drive)
         object.__setattr__(self, "psi0", psi0)
+        object.__setattr__(self, "integrator", integrator)
 
     __hash__ = None  # omega is a dict
 
@@ -201,21 +212,15 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     else:
         raise ConfigError("frequencies must be 'resonant' or 'explicit'")
 
-    return RunConfig(energies=energies, omega=omega, **run)
+    return RunConfig(energies=energies, omega=omega, step=ov.get("step"),
+                     max_steps=ov.get("max_steps"), **run)
 
 
-def _integrator_for(cfg: RunConfig, step=None, max_steps=None) -> IntegratorConfig:
-    """cfg's RK4 settings: a step of 0.1 over its fastest rate (at most 1e-3) unless overridden."""
-    scale = max(*cfg.omega.values(), *cfg.levels.energies, cfg.g, 1.0)
-    return IntegratorConfig(min(1e-3, 0.1 / scale) if step is None else step,
-                            IntegratorConfig.max_steps if max_steps is None else max_steps)
-
-
-def _solve_exact(cfg: RunConfig, grid, step, max_steps):
+def _solve_exact(cfg: RunConfig, grid):
     return exact_evolution(cfg.levels, cfg.drive, cfg.psi0, grid)
 
 
-def _solve_dyson1(cfg: RunConfig, grid, step, max_steps):
+def _solve_dyson1(cfg: RunConfig, grid):
     if len(cfg.energies) != 3:
         raise ConfigError("dyson1 uses the closed-form path and requires n = 3")
     if not np.array_equal(cfg.psi0.amp, [1.0, 0.0, 0.0]):
@@ -223,7 +228,7 @@ def _solve_dyson1(cfg: RunConfig, grid, step, max_steps):
     return approximate_solution_3(cfg.levels, cfg.drive, grid)
 
 
-def _solve_dyson2(cfg: RunConfig, grid, step, max_steps):
+def _solve_dyson2(cfg: RunConfig, grid):
     drive = cfg.drive
     if not is_resonant(cfg.levels, drive):
         raise ConfigError("dyson2 requires the resonance conditions omega_j = E_j - E_{j-1}")
@@ -236,11 +241,11 @@ def _h_fn(cfg: RunConfig):
     return (full_hamiltonian if cfg.drive.rwa else full_hamiltonian_nonrwa)(cfg.levels, cfg.drive)
 
 
-def _solve_numeric(cfg: RunConfig, grid, step, max_steps):
-    return integrate(_h_fn(cfg), cfg.psi0, grid, _integrator_for(cfg, step, max_steps)).states
+def _solve_numeric(cfg: RunConfig, grid):
+    return integrate(_h_fn(cfg), cfg.psi0, grid, cfg.integrator).states
 
 
-# solver name -> fn(cfg, grid, step, max_steps) -> states, one row per grid time
+# solver name -> fn(cfg, grid) -> states, one row per grid time
 SOLVER_TABLE = {"exact": _solve_exact, "dyson1": _solve_dyson1, "dyson2": _solve_dyson2,
                 "numeric-rwa": _solve_numeric, "numeric-full": _solve_numeric}
 
@@ -257,10 +262,10 @@ RUN_KEYS = {
 }
 
 
-def run_solver(cfg: RunConfig, step_override=None, max_steps=None) -> Trajectory:
+def run_solver(cfg: RunConfig) -> Trajectory:
     """Run cfg's solver once over the whole time grid and return the trajectory."""
     grid = np.linspace(0.0, cfg.t_max, cfg.samples)
-    return Trajectory(grid, SOLVER_TABLE[cfg.solver](cfg, grid, step_override, max_steps))
+    return Trajectory(grid, SOLVER_TABLE[cfg.solver](cfg, grid))
 
 
 # status -> (what a command or run fails with, exit code): the one table of refusals and
@@ -290,22 +295,22 @@ def _violations(report) -> list:
     return [{"pair": list(ij), "epsilon": v} for ij, v in report.violations]
 
 
-def _run_task(cfgs, step, max_steps) -> list:
+def _run_task(cfgs) -> list:
     """Per cfg of one task: its Trajectory, or the refusal or failure of its run.
 
     A failure of a whole RK4 stack (one that cannot allocate, say) is every run's.
     """
     try:
         if len(cfgs) == 1:
-            return [run_solver(cfgs[0], step, max_steps)]
+            return [run_solver(cfgs[0])]
         grid = np.linspace(0.0, cfgs[0].t_max, cfgs[0].samples)
         return integrate_stack([_h_fn(cfg) for cfg in cfgs], [cfg.psi0 for cfg in cfgs], grid,
-                               _integrator_for(cfgs[0], step, max_steps))
+                               cfgs[0].integrator)
     except _FAILURES as exc:
         return [exc] * len(cfgs)
 
 
-def _run_all(cfgs, step, max_steps, finish, pool_map=map) -> list:
+def _run_all(cfgs, finish, pool_map=map) -> list:
     """finish(index, result) for every cfg, where result is what _run_task gives for it.
 
     RK4 runs (numeric-rwa and numeric-full alike) that share n, t_max, samples
@@ -316,13 +321,12 @@ def _run_all(cfgs, step, max_steps, finish, pool_map=map) -> list:
     """
     tasks = {}
     for idx, cfg in enumerate(cfgs):
-        key = idx
-        if SOLVER_TABLE[cfg.solver] is _solve_numeric:
-            key = (cfg.levels.n, cfg.t_max, cfg.samples, _integrator_for(cfg, step, max_steps))
+        key = idx if cfg.integrator is None else (cfg.levels.n, cfg.t_max, cfg.samples,
+                                                   cfg.integrator)
         tasks.setdefault(key, []).append(idx)
 
     def run(task):
-        results = _run_task([cfgs[idx] for idx in task], step, max_steps)
+        results = _run_task([cfgs[idx] for idx in task])
         return [(idx, finish(idx, result)) for idx, result in zip(task, results)]
 
     done = dict(itertools.chain.from_iterable(pool_map(run, tasks.values())))
@@ -365,20 +369,16 @@ def cmd_spectrum(args) -> int:
 
 
 def _check_rk4_flags(args, cfgs):
-    """Refuse --step and --max-steps unless a run of cfgs integrates, and any bad value of them."""
-    if args.step is None and args.max_steps is None:
-        return
-    rk4 = [cfg for cfg in cfgs if SOLVER_TABLE[cfg.solver] is _solve_numeric]
-    if not rk4:
+    """Refuse --step and --max-steps unless a run of cfgs integrates (their values are cfgs')."""
+    if (args.step, args.max_steps) != (None, None) and all(c.integrator is None for c in cfgs):
         raise ConfigError("--step and --max-steps need a numeric-rwa or numeric-full run")
-    _integrator_for(rk4[0], args.step, args.max_steps)
 
 
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config, _flag_overrides(args))
     _check_rk4_flags(args, [cfg])
     _check_output(cfg.output)
-    traj = run_solver(cfg, step_override=args.step, max_steps=args.max_steps)
+    traj = run_solver(cfg)
     _write_trajectory(traj, cfg)
     print(f"# solver={cfg.solver} samples={cfg.samples} norm_drift={traj.norm_drift():.3g}",
           file=sys.stderr)
@@ -404,7 +404,7 @@ def cmd_compare(args) -> int:
     cfgs = [replace(base, solver=name) for name in solvers]
     _check_rk4_flags(args, cfgs)
     _check_output(args.output)
-    trajs = _run_all(cfgs, args.step, args.max_steps, lambda idx, result: result)
+    trajs = _run_all(cfgs, lambda idx, result: result)
     for result in trajs:
         if isinstance(result, Exception):
             raise result
@@ -466,7 +466,7 @@ def cmd_sweep(args) -> int:
 
     # --jobs caps the tasks that run at once; one task may be a whole RK4 stack
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        entries = _run_all(cfgs, args.step, args.max_steps, finish, pool.map)
+        entries = _run_all(cfgs, finish, pool.map)
     manifest = {"config": base.to_dict(), "param": args.param, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     failed = [entry for entry in entries if entry["status"] != "ok"]
@@ -481,8 +481,8 @@ def cmd_sweep(args) -> int:
 
 
 def _flag_overrides(args) -> dict:
-    return {key: getattr(args, key) for key in (*RUN_KEYS, "resonant", "epsilon")
-            if getattr(args, key, None) is not None}
+    keys = (*RUN_KEYS, "step", "max_steps", "resonant", "epsilon")
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _add_run_flags(p, keys, rk4):

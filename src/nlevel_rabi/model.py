@@ -44,7 +44,6 @@ __all__ = [
     "Detunings",
     "StateVector",
     "HamiltonianFn",
-    "build_h0",
     "build_interaction_rwa",
     "full_hamiltonian",
     "full_hamiltonian_nonrwa",
@@ -55,7 +54,6 @@ __all__ = [
     "is_resonant",
     "detunings",
     "residual_coupling",
-    "split_c_r",
 ]
 
 
@@ -199,11 +197,6 @@ class StateVector:
         return cls(a / norm)
 
 
-def build_h0(levels: LevelSpec) -> np.ndarray:
-    """Bare atomic Hamiltonian diag(0, delta_1, ..., delta_{n-1})."""
-    return np.diag(levels.deltas)
-
-
 def _pairs(n: int) -> list:
     """The n(n-1)/2 level pairs (i, j), i < j, row by row: np.triu_indices(n, 1) order."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -340,20 +333,6 @@ def residual_coupling(det: Detunings, t) -> np.ndarray:
         r[..., i, j] = phase
         r[..., j, i] = phase.conj()
     return r
-
-
-def split_c_r(levels: LevelSpec, drive: DriveSpec):
-    """Split the resonant rotating-frame Hamiltonian as g*C + g*R(t).
-
-    C is the 0/1 tridiagonal nearest-neighbour coupling matrix, R(t) holds the
-    residual non-adjacent phases.  Requires the resonance conditions, which
-    zero the diagonal.
-    """
-    _check_match(levels, drive)
-    if not is_resonant(levels, drive):
-        raise ConfigError("split requires the resonance conditions omega_j = E_j - E_{j-1}")
-    det = detunings(drive)
-    return coupling_matrix(drive.n), lambda t: residual_coupling(det, t)
 
 
 def _check_match(levels: LevelSpec, drive: DriveSpec):

@@ -201,9 +201,10 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
 
     Returns one entry per run: its ``Trajectory``, or the ``NumericFailure``
     or ``StepBudgetExceeded`` that a solo run would raise (returned, not
-    raised).  A run whose state goes non-finite is zeroed and dropped while
-    the others go on; the budget ends every run at the same step, each with
-    its solo partial trajectory.  A bad grid raises ``ConfigError``.
+    raised).  A run whose state goes NaN or reaches |Psi_k| >= 2^500, where its
+    populations would overflow, is zeroed and dropped while the others go on;
+    the budget ends every run at the same step, each with its solo partial
+    trajectory.  A bad grid raises ``ConfigError``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -225,7 +226,7 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
     work = np.empty((3, _CHUNK, runs, n, n), dtype=complex)
     path = np.empty((_CHUNK + 1, runs, n, 1), dtype=complex)
     path[0] = psi
-    # non-finite states are caught below; numpy's overflow warnings would only repeat it
+    # out-of-range states are caught below; numpy's overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         while chunk := list(itertools.islice(steps, _CHUNK)):
             ts, hs, lands = np.array(chunk).T
@@ -248,11 +249,12 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
             for d, now, nxt in zip(inc[:todo], path, path[1:]):
                 np.add(now, d @ now, out=nxt)
             steps_used += todo
-            finite = np.isfinite(path[1 : todo + 1]).all(axis=(2, 3))  # (step, run)
-            ok = finite.all(axis=0)
-            for b in np.flatnonzero(~ok):  # failed at its first non-finite step
+            # (step, run); NaN compares False, so it fails too
+            in_range = (np.abs(path[1 : todo + 1]) < 2.0 ** 500).all(axis=(2, 3))
+            ok = in_range.all(axis=0)
+            for b in np.flatnonzero(~ok):  # failed at its first out-of-range step
                 failures[b] = failures[b] or NumericFailure(
-                    f"non-finite state at t = {ts[np.argmin(finite[:, b])]:.6g}")
+                    f"non-finite state at t = {ts[np.argmin(in_range[:, b])]:.6g}")
             if all(failures):
                 return failures
             # boolean indexing copies, so path can be refilled

@@ -14,6 +14,7 @@ import nlevel_rabi.cli as cli
 from nlevel_rabi.cli import (RUN_KEYS, SOLVER_TABLE, SWEEP_KEYS, RunConfig, build_parser,
                               load_config, main, run_solver)
 from nlevel_rabi.model import ConfigError
+from nlevel_rabi.propagate import IntegratorConfig
 
 
 def write_config(tmp_path, **kw):
@@ -296,6 +297,43 @@ def test_run_config_equality_is_field_wise_and_unhashable(tmp_path):
         hash(cfg)
 
 
+@pytest.mark.parametrize("solver", ["exact", "dyson1", "dyson2"])
+def test_closed_form_runs_have_no_integrator(tmp_path, solver):
+    assert load_config(write_config(tmp_path, solver=solver)).integrator is None
+
+
+# (energies, g, the default RK4 step: 0.1 over the fastest rate, at most 1e-3)
+DEFAULT_STEPS = {
+    "slow": ("0.0, 1.0, 2.0", "0.1", 1e-3),
+    "fast-levels": ("0.0, 300.0, 700.0", "0.1", 0.1 / 700.0),
+    "strong-drive": ("0.0, 1.0, 2.0", "2000", 0.1 / 2000.0),
+}
+
+
+@pytest.mark.parametrize("solver", ["numeric-rwa", "numeric-full"])
+@pytest.mark.parametrize("energies, g, step", DEFAULT_STEPS.values(), ids=DEFAULT_STEPS.keys())
+def test_rk4_runs_resolve_their_integrator_once(tmp_path, solver, energies, g, step):
+    cfg = write_config(tmp_path, solver=solver, energies=energies, g=g)
+    assert load_config(cfg).integrator == IntegratorConfig(step, 10_000_000)
+    args = build_parser().parse_args(["evolve", cfg, "--step", "5e-4", "--max-steps", "1234"])
+    flagged = load_config(cfg, cli._flag_overrides(args))
+    assert (flagged.step, flagged.max_steps) == (5e-4, 1234)
+    assert flagged.integrator == IntegratorConfig(5e-4, 1234)
+    only_budget = load_config(cfg, {"max_steps": 99})
+    assert only_budget.integrator == IntegratorConfig(step, 99)
+
+
+def test_replacing_the_solver_resolves_the_integrator_again(tmp_path):
+    cfg = load_config(write_config(tmp_path, solver="numeric-rwa"), {"step": 2e-4})
+    exact = replace(cfg, solver="exact")
+    assert exact.integrator is None
+    assert replace(exact, solver="numeric-full").integrator == IntegratorConfig(2e-4, 10_000_000)
+    # the settings are refused when a run would use them, not before
+    bad = replace(exact, step=0.0)
+    with pytest.raises(ConfigError, match="step must be positive"):
+        replace(bad, solver="numeric-rwa")
+
+
 # two values per sweepable key: text as given to --values, and the values the manifest records
 SWEEP_CASES = {
     "drive.g": ("0.05,0.1", [0.05, 0.1]),
@@ -510,6 +548,25 @@ def test_stacked_sweep_runs_match_solo_evolve(tmp_path, monkeypatch, param, jobs
         assert (outdir / run["file"]).read_bytes() == solo.read_bytes()
 
 
+def test_solver_sweep_with_a_step_matches_solo_runs(tmp_path):
+    # g = 200 puts the default step at 5e-4, so a solo run that dropped --step would differ
+    cfg = write_config(tmp_path, g="200", t_max="0.5", samples="5")
+    outdir = tmp_path / "sweep"
+    solvers = ["exact", "numeric-rwa", "numeric-full"]
+    assert main(["sweep", cfg, "--param", "run.solver", "--values", ",".join(solvers),
+                 "--step", "1e-3", "--outdir", str(outdir)]) == 0
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    for run, solver in zip(runs, solvers):
+        swept = (outdir / run["file"]).read_bytes()
+        solo = tmp_path / f"solo_{solver}.csv"
+        step = ["--step", "1e-3"] if solver != "exact" else []
+        assert main(["evolve", cfg, "--solver", solver, *step, "--output", str(solo)]) == 0
+        assert swept == solo.read_bytes()
+        # a config loaded with the step carries it to run_solver
+        run_solver(load_config(cfg, {"solver": solver, "step": 1e-3})).to_csv(solo)
+        assert swept == solo.read_bytes()
+
+
 def test_compare_runs_two_rk4_legs_as_one_stack(tmp_path, monkeypatch):
     sizes = _record_stacks(monkeypatch)
     cfg = write_config(tmp_path, t_max="1.0", samples="5")
@@ -577,6 +634,36 @@ def test_numeric_failure_in_a_sweep_prints_one_json_line(tmp_path, capsys, jobs)
     ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
     assert (ok["status"], failed["status"]) == ("ok", "numeric")
     assert failed["error"].startswith("non-finite state at t = ")
+
+
+# g = 1000 at step 0.5 diverges: |psi| passes 1e187 while it is still finite, so its
+# populations and norm would overflow
+DIVERGING = ["--solver", "numeric-rwa", "--step", "0.5"]
+
+
+def test_diverging_rk4_run_exits_4_with_one_json_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, t_max="5", samples="21")
+    path = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", cfg, *DIVERGING, "--g", "1000", "--output", str(path)]) == 4
+    assert not path.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "numeric", "message": "non-finite state at t = 4"}
+
+
+def test_diverging_rk4_run_fails_in_a_sweep(tmp_path, capsys):
+    cfg = write_config(tmp_path, t_max="5", samples="21")
+    outdir = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,1000", *DIVERGING,
+                     "--outdir", str(outdir)]) == 4
+    ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert (ok["status"], failed["status"]) == ("ok", "numeric")
+    assert (failed["error"], failed["norm_drift"]) == ("non-finite state at t = 4", None)
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 # /dev/full accepts the open and fails the write with ENOSPC

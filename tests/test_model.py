@@ -12,7 +12,6 @@ from nlevel_rabi.model import (
     LevelSpec,
     StateVector,
     apply_resonance,
-    build_h0,
     build_interaction_rwa,
     detunings,
     full_hamiltonian,
@@ -21,9 +20,9 @@ from nlevel_rabi.model import (
     residual_coupling,
     rotating_frame,
     rotating_frame_phases,
-    split_c_r,
     transformed_hamiltonian,
 )
+from nlevel_rabi.spectral import coupling_matrix
 
 
 def test_level_spec_validates():
@@ -125,16 +124,6 @@ def test_normalized_keeps_the_unscaled_bits_and_scales_only_out_of_range_norms(a
         assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
 
 
-def test_build_h0():
-    np.testing.assert_array_equal(build_h0(LevelSpec((0.0, 1.0))), np.diag([0.0, 1.0]))
-    np.testing.assert_allclose(
-        build_h0(LevelSpec((0.5, 1.5, 3.0))), np.diag([0.0, 1.0, 2.5])
-    )
-    # two-level form diag(0, Delta) with the constant offset dropped
-    lev = LevelSpec((1.3, 2.0))
-    np.testing.assert_allclose(build_h0(lev), np.diag([0.0, 0.7]))
-
-
 def test_interaction_rwa_at_zero():
     drive = apply_resonance(LevelSpec((0.0, 1.0, 2.0)), g=0.1)
     v = build_interaction_rwa(drive, 0.0)
@@ -169,7 +158,7 @@ def test_full_hamiltonian_small_coupling_is_h0():
     lev = LevelSpec((0.0, 1.0, 2.0))
     drive = apply_resonance(lev, g=1e-15)
     h = full_hamiltonian(lev, drive)
-    assert np.max(np.abs(h(3.7) - build_h0(lev))) < 1e-14
+    assert np.max(np.abs(h(3.7) - np.diag(lev.deltas))) < 1e-14
 
 
 def test_full_hamiltonian_two_level_matrix():
@@ -294,45 +283,21 @@ def test_resonance_zeroes_diagonal_exactly():
     assert np.all(np.diag(h) == 0.0)
 
 
-def test_split_c_r_two_level():
-    lev = LevelSpec((0.0, 1.0))
-    c, r = split_c_r(lev, apply_resonance(lev, g=0.1))
-    np.testing.assert_array_equal(c, [[0, 1], [1, 0]])
-    assert np.all(r(4.2) == 0.0)
-
-
-def test_split_c_r_three_level_residual():
-    lev = LevelSpec((0.0, 1.0, 2.0))
-    eps = 0.3
-    drive = apply_resonance(lev, g=0.1, nonadjacent={(0, 2): 2.0 + eps})
-    c, r = split_c_r(lev, drive)
-    t = 1.9
-    m = r(t)
-    assert abs(m[0, 2] - np.exp(1j * eps * t)) < 1e-15
-    assert abs(m[2, 0] - np.exp(-1j * eps * t)) < 1e-15
-    assert np.count_nonzero(m) == 2
-
-
 def test_split_c_r_consistency_gives_q():
+    # split as H_rot = g(C + R(t)): with every detuning zero, C + R(0) = Q = J - I
     lev = LevelSpec((0.0, 1.0, 2.0, 3.0))
-    c, r = split_c_r(lev, apply_resonance(lev, g=0.1))
-    np.testing.assert_array_equal(c + r(0.0).real, np.ones((4, 4)) - np.eye(4))
-
-
-def test_split_c_r_requires_resonance():
-    lev = LevelSpec((0.0, 1.0, 2.0))
-    drive = DriveSpec(n=3, omega={(0, 1): 0.9, (1, 2): 1.0, (0, 2): 1.9}, g=0.1)
-    with pytest.raises(ConfigError):
-        split_c_r(lev, drive)
+    det = detunings(apply_resonance(lev, g=0.1))
+    q = coupling_matrix(4) + residual_coupling(det, 0.0).real
+    np.testing.assert_array_equal(q, np.ones((4, 4)) - np.eye(4))
 
 
 def test_reconstruction_is_exact():
     lev = LevelSpec((0.0, 1.0, 2.0, 3.3))
     drive = apply_resonance(lev, g=0.37, nonadjacent={(0, 2): 2.11, (0, 3): 3.9})
-    c, r = split_c_r(lev, drive)
+    c, det = coupling_matrix(drive.n), detunings(drive)
     h = transformed_hamiltonian(lev, drive)
     for t in (0.0, 0.9, 5.5):
-        np.testing.assert_array_equal(drive.g * c + drive.g * r(t), h(t))
+        np.testing.assert_array_equal(drive.g * c + drive.g * residual_coupling(det, t), h(t))
 
 
 @pytest.mark.parametrize("builder", ["rwa", "nonrwa", "transformed"])

@@ -438,14 +438,14 @@ def test_step_budget_partial_trajectory_matches_per_step_loop(max_steps):
 def test_numeric_failure_message_names_the_overflowing_step():
     # -iH = 100 I and h = 0.01, so every step multiplies psi by
     # 1 + 1 + 1/2 + 1/6 + 1/24 = 65/24, and psi = (65/24)^k after k steps.
-    # ln(DBL_MAX) / ln(65/24) = 712.4, so the step that starts at t = 7.12 (the
-    # 713th) is the first to take psi past DBL_MAX.  The message names that step;
-    # the per-step loop fails 6 steps earlier, when its k4 stage overflows.
+    # ln(2^500) / ln(65/24) = 347.8, so the step that starts at t = 3.47 (the
+    # 348th) is the first to take psi past 2^500, where its population |psi|^2
+    # would overflow.  The message names that step.
     h = lambda t: 100j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
     grid, cfg = [0.0, 1.0, 10.0], IntegratorConfig(step=0.01)
     with pytest.raises(NumericFailure) as got:
         integrate(h, StateVector.basis(2, 0), grid, cfg)
-    assert str(got.value) == "non-finite state at t = 7.12"
+    assert str(got.value) == "non-finite state at t = 3.47"
 
 
 def test_step_schedule_is_built_one_chunk_at_a_time():
