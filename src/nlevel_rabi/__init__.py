@@ -12,7 +12,6 @@ from .model import (
     LevelSpec,
     StateVector,
     apply_resonance,
-    build_interaction_rwa,
     detunings,
     full_hamiltonian,
     full_hamiltonian_nonrwa,

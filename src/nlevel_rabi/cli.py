@@ -132,6 +132,9 @@ class RunConfig:
             "initial": [[z.real, z.imag] for z in self.initial],
             "output": self.output,
             "format": self.format,
+            # the RK4 settings only when given, so every other run's provenance is unchanged
+            **{key: getattr(self, key) for key in ("step", "max_steps")
+               if getattr(self, key) is not None},
         }
 
     @classmethod
@@ -148,6 +151,7 @@ class RunConfig:
             initial=initial,
             output=d.get("output"),
             format=d.get("format", "csv"),
+            step=d.get("step"), max_steps=d.get("max_steps"),
         )
 
 

@@ -31,8 +31,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .spectral import coupling_matrix
-
 # H(t) for a 1-D array of times: one n x n matrix per time, shape t.shape + (n, n).
 # The RK4 oracle calls it once per chunk of steps; the factories here also take a scalar t.
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
@@ -44,7 +42,6 @@ __all__ = [
     "Detunings",
     "StateVector",
     "HamiltonianFn",
-    "build_interaction_rwa",
     "full_hamiltonian",
     "full_hamiltonian_nonrwa",
     "rotating_frame",
@@ -235,14 +232,6 @@ def _pair_frequencies(drive: DriveSpec) -> np.ndarray:
     return np.array([drive.omega[ij] for ij in _pairs(drive.n)])
 
 
-def build_interaction_rwa(drive: DriveSpec, t) -> np.ndarray:
-    """RWA interaction V(t): V_ij = exp(i*omega_ij*t) for i < j, Hermitian; t.shape + (n, n)."""
-    if not drive.rwa:
-        raise ConfigError("RWA interaction requested with rwa=False")
-    iw = 1j * _pair_frequencies(drive)
-    return _hermitian(np.zeros(drive.n), np.exp(np.multiply.outer(t, iw)))
-
-
 def full_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
     """Lab-frame RWA Hamiltonian H(t) = H0 + g*V(t)."""
     _check_match(levels, drive)
@@ -276,26 +265,29 @@ def to_lab_frame(drive: DriveSpec, t, states) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(t, rotating_frame_phases(drive))) * states
 
 
+def _pair_detunings(drive: DriveSpec) -> np.ndarray:
+    """eps_ij = omega_ij - (omega_{i+1} + ... + omega_j) in ``_pairs`` order; 0.0 if adjacent."""
+    adj = drive.adjacent
+    return np.array([drive.omega[(i, j)] - float(adj[i:j].sum()) for i, j in _pairs(drive.n)])
+
+
 def detunings(drive: DriveSpec) -> Detunings:
     """Detunings eps_{ij} of non-adjacent drives against the adjacent chain."""
-    adj = drive.adjacent
-    eps = {(i, j): drive.omega[(i, j)] - float(adj[i:j].sum())
-           for i, j in _pairs(drive.n) if j - i >= 2}
-    return Detunings(drive.n, eps)
+    eps = zip(_pairs(drive.n), _pair_detunings(drive))
+    return Detunings(drive.n, {(i, j): e for (i, j), e in eps if j - i >= 2})
 
 
 def transformed_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
-    """Rotating-frame Hamiltonian U†HU - i U†(dU/dt).
+    """Rotating-frame Hamiltonian U†HU - i U†(dU/dt): the lab-frame shape with (D, eps).
 
-    Diagonal: delta_k - (omega_1 + ... + omega_k).  First off-diagonal: g.
-    Pairs with j - i >= 2: g * exp(+-i*eps_ij*t).
+    Diagonal D_k = delta_k - (omega_1 + ... + omega_k); g * exp(i*eps_ij*t) on each pair.
     """
     _check_match(levels, drive)
     if not drive.rwa:
         raise ConfigError("transformed_hamiltonian requires an RWA drive")
-    diag = np.diag(levels.deltas - rotating_frame_phases(drive))
-    c, det = coupling_matrix(drive.n), detunings(drive)
-    return lambda t: diag + drive.g * (c + residual_coupling(det, t))
+    diag = levels.deltas - rotating_frame_phases(drive)
+    ieps, g = 1j * _pair_detunings(drive), drive.g
+    return lambda t: _hermitian(diag, g * np.exp(np.multiply.outer(t, ieps)))
 
 
 def apply_resonance(levels: LevelSpec, g: float, *, rwa: bool = True,
@@ -316,12 +308,12 @@ def apply_resonance(levels: LevelSpec, g: float, *, rwa: bool = True,
     return DriveSpec(n=levels.n, omega=omega, g=g, rwa=rwa)
 
 
-def is_resonant(levels: LevelSpec, drive: DriveSpec, tol: float = 1e-12) -> bool:
+def is_resonant(levels: LevelSpec, drive: DriveSpec) -> bool:
     """True when omega_j = E_j - E_{j-1} for every adjacent pair."""
     e = levels.deltas
     gaps = e[1:] - e[:-1]
     scale = max(1.0, float(np.max(np.abs(e))))
-    return bool(np.all(np.abs(drive.adjacent - gaps) <= tol * scale))
+    return bool(np.all(np.abs(drive.adjacent - gaps) <= 1e-12 * scale))
 
 
 def residual_coupling(det: Detunings, t) -> np.ndarray:

@@ -31,7 +31,7 @@ __all__ = [
 
 
 class NumericFailure(RuntimeError):
-    """NaN or overflow encountered during integration."""
+    """The integration diverged: NaN, or a total probability of 2 or more."""
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -201,10 +201,11 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
 
     Returns one entry per run: its ``Trajectory``, or the ``NumericFailure``
     or ``StepBudgetExceeded`` that a solo run would raise (returned, not
-    raised).  A run whose state goes NaN or reaches |Psi_k| >= 2^500, where its
-    populations would overflow, is zeroed and dropped while the others go on;
-    the budget ends every run at the same step, each with its solo partial
-    trajectory.  A bad grid raises ``ConfigError``.
+    raised).  A run has diverged at its first step where the total probability
+    sum_k |Psi_k|^2 reaches 2 or goes NaN: exact evolution keeps it at 1, and a
+    stable RK4 step moves it only by its truncation error.  Such a run is zeroed
+    and dropped while the others go on; the budget ends every run at the same
+    step, each with its solo partial trajectory.  A bad grid raises ``ConfigError``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -249,12 +250,13 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
             for d, now, nxt in zip(inc[:todo], path, path[1:]):
                 np.add(now, d @ now, out=nxt)
             steps_used += todo
-            # (step, run); NaN compares False, so it fails too
-            in_range = (np.abs(path[1 : todo + 1]) < 2.0 ** 500).all(axis=(2, 3))
+            # (step, run): total probability below 2; NaN compares False, so it fails too
+            in_range = (np.abs(path[1 : todo + 1]) ** 2).sum(axis=(2, 3)) < 2.0
             ok = in_range.all(axis=0)
             for b in np.flatnonzero(~ok):  # failed at its first out-of-range step
                 failures[b] = failures[b] or NumericFailure(
-                    f"non-finite state at t = {ts[np.argmin(in_range[:, b])]:.6g}")
+                    f"RK4 diverged at t = {ts[np.argmin(in_range[:, b])]:.6g}: "
+                    "total probability reached 2")
             if all(failures):
                 return failures
             # boolean indexing copies, so path can be refilled

@@ -146,6 +146,16 @@ def test_json_config_roundtrip(tmp_path):
     doc = json.loads(out.read_text())
     original = load_config(cfg_path, {"output": str(out)})
     assert RunConfig.from_dict(doc["config"]) == original
+    assert "step" not in doc["config"] and "max_steps" not in doc["config"]
+    # a flagged RK4 run carries its step and budget, and is rebuilt with them
+    flags = {"solver": "numeric-rwa", "step": 5e-4, "max_steps": 200000}
+    assert main(["evolve", cfg_path, "--output", str(out), "--solver", "numeric-rwa",
+                 "--step", "5e-4", "--max-steps", "200000", "--t-max", "1"]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["config"]["step"], doc["config"]["max_steps"]) == (5e-4, 200000)
+    flagged = load_config(cfg_path, {"output": str(out), "t_max": "1", **flags})
+    assert RunConfig.from_dict(doc["config"]) == flagged
+    assert RunConfig.from_dict(doc["config"]).integrator == IntegratorConfig(5e-4, 200000)
 
 
 def test_csv_output_deterministic(tmp_path):
@@ -617,6 +627,12 @@ def test_refusal_inside_a_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys
     assert json.loads(err[0])["message"].startswith(f"sweep runs {failed} failed")
 
 
+# g = 1000 at step 0.5 (h * g = 500) is far outside RK4's stability region: the first
+# step, at t = 0, takes the total probability past 2
+DIVERGING = ["--solver", "numeric-rwa", "--step", "0.5"]
+DIVERGED_AT_0 = "RK4 diverged at t = 0: total probability reached 2"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_numeric_failure_in_a_sweep_prints_one_json_line(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path)
@@ -633,24 +649,22 @@ def test_numeric_failure_in_a_sweep_prints_one_json_line(tmp_path, capsys, jobs)
                                   f"sweep runs [1] failed; see {outdir / 'manifest.json'}"}
     ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
     assert (ok["status"], failed["status"]) == ("ok", "numeric")
-    assert failed["error"].startswith("non-finite state at t = ")
-
-
-# g = 1000 at step 0.5 diverges: |psi| passes 1e187 while it is still finite, so its
-# populations and norm would overflow
-DIVERGING = ["--solver", "numeric-rwa", "--step", "0.5"]
+    assert failed["error"] == DIVERGED_AT_0
 
 
 def test_diverging_rk4_run_exits_4_with_one_json_line(tmp_path, capsys):
-    cfg = write_config(tmp_path, t_max="5", samples="21")
-    path = tmp_path / "traj.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["evolve", cfg, *DIVERGING, "--g", "1000", "--output", str(path)]) == 4
-    assert not path.exists()
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err) == {"error": "numeric", "message": "non-finite state at t = 4"}
+    # to t = 5 the amplitudes pass 1e187, where the populations would overflow; to
+    # t = 3 the run would end with norm_drift 2.1e63, far below any overflow
+    for t_max, samples in (("5", "21"), ("3", "7")):
+        cfg = write_config(tmp_path, t_max=t_max, samples=samples)
+        path = tmp_path / "traj.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", cfg, *DIVERGING, "--g", "1000", "--output", str(path)]) == 4
+        assert not path.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "numeric", "message": DIVERGED_AT_0}
 
 
 def test_diverging_rk4_run_fails_in_a_sweep(tmp_path, capsys):
@@ -662,7 +676,7 @@ def test_diverging_rk4_run_fails_in_a_sweep(tmp_path, capsys):
                      "--outdir", str(outdir)]) == 4
     ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
     assert (ok["status"], failed["status"]) == ("ok", "numeric")
-    assert (failed["error"], failed["norm_drift"]) == ("non-finite state at t = 4", None)
+    assert (failed["error"], failed["norm_drift"]) == (DIVERGED_AT_0, None)
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 

@@ -12,7 +12,6 @@ from nlevel_rabi.model import (
     LevelSpec,
     StateVector,
     apply_resonance,
-    build_interaction_rwa,
     detunings,
     full_hamiltonian,
     full_hamiltonian_nonrwa,
@@ -124,30 +123,14 @@ def test_normalized_keeps_the_unscaled_bits_and_scales_only_out_of_range_norms(a
         assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
 
 
-def test_interaction_rwa_at_zero():
-    drive = apply_resonance(LevelSpec((0.0, 1.0, 2.0)), g=0.1)
-    v = build_interaction_rwa(drive, 0.0)
-    np.testing.assert_array_equal(np.diag(v), np.zeros(3))
-    off = v[~np.eye(3, dtype=bool)]
-    np.testing.assert_allclose(off, np.ones(6), atol=0)
-
-
-def test_interaction_rwa_two_level_phase():
-    w = 1.7
-    drive = DriveSpec(n=2, omega={(0, 1): w}, g=0.5)
-    t = 0.9
-    v = build_interaction_rwa(drive, t)
-    np.testing.assert_allclose(
-        v, [[0, np.exp(1j * w * t)], [np.exp(-1j * w * t), 0]], atol=1e-15
-    )
-
-
 def test_interaction_rwa_unit_circle_points():
-    # omega_01*t = pi/2, omega_12*t = pi, omega_02*t = 3*pi/2 at t = 1
+    # omega_01*t = pi/2, omega_12*t = pi, omega_02*t = 3*pi/2 at t = 1; with g = 1,
+    # V(t) = H(t) - diag(delta)
     drive = DriveSpec(
         n=3, omega={(0, 1): np.pi / 2, (1, 2): np.pi, (0, 2): 3 * np.pi / 2}, g=1.0
     )
-    v = build_interaction_rwa(drive, 1.0)
+    lev = LevelSpec((0.0, 1.0, 2.0))
+    v = full_hamiltonian(lev, drive)(1.0) - np.diag(lev.deltas)
     assert abs(v[0, 1] - 1j) < 1e-15
     assert abs(v[1, 2] + 1.0) < 1e-15
     assert abs(v[0, 2] + 1j) < 1e-15

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from nlevel_rabi.model import (
     LevelSpec,
     apply_resonance,
-    build_interaction_rwa,
     detunings,
     full_hamiltonian,
     full_hamiltonian_nonrwa,
     residual_coupling,
+    rotating_frame_phases,
+    transformed_hamiltonian,
 )
 
 
@@ -51,9 +52,12 @@ def builders(config, t):
     rwa = apply_resonance(levels, g, nonadjacent=nonadjacent)
     cosine = apply_resonance(levels, g, rwa=False, nonadjacent=nonadjacent)
     det = detunings(rwa)
+    # the rotating frame's pair rates: eps on the detuned pairs, 0.0 on the adjacent ones
+    eps = {**{(k, k + 1): 0.0 for k in range(n - 1)}, **det.eps}
     return [
-        ("V", build_interaction_rwa(rwa, t),
-         loop_reference(n, zeros, rwa.omega, lambda w, t: np.exp(1j * w * t), t)),
+        ("H_rot", transformed_hamiltonian(levels, rwa)(t),
+         loop_reference(n, levels.deltas - rotating_frame_phases(rwa), eps,
+                        lambda e, t: g * np.exp(1j * e * t), t)),
         ("H", full_hamiltonian(levels, rwa)(t),
          loop_reference(n, levels.deltas, rwa.omega, lambda w, t: g * np.exp(1j * w * t), t)),
         ("H_cos", full_hamiltonian_nonrwa(levels, cosine)(t),

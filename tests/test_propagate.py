@@ -1,12 +1,15 @@
+import ast
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlevel_rabi
 from nlevel_rabi.model import (
     ConfigError,
     LevelSpec,
@@ -436,16 +439,41 @@ def test_step_budget_partial_trajectory_matches_per_step_loop(max_steps):
 
 
 def test_numeric_failure_message_names_the_overflowing_step():
-    # -iH = 100 I and h = 0.01, so every step multiplies psi by
-    # 1 + 1 + 1/2 + 1/6 + 1/24 = 65/24, and psi = (65/24)^k after k steps.
-    # ln(2^500) / ln(65/24) = 347.8, so the step that starts at t = 3.47 (the
-    # 348th) is the first to take psi past 2^500, where its population |psi|^2
-    # would overflow.  The message names that step.
-    h = lambda t: 100j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
+    # -iH = I and h = 0.01, so every step multiplies psi by
+    # r = 1 + h + h^2/2 + h^3/6 + h^4/24, and |psi|^2 = r^(2k) after k steps.
+    # ln(2) / (2 ln r) = 34.66, so the step that starts at t = 0.34 (the 35th)
+    # is the first to take the total probability to 2 or more.  The message
+    # names that step.
+    h = lambda t: 1j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
     grid, cfg = [0.0, 1.0, 10.0], IntegratorConfig(step=0.01)
     with pytest.raises(NumericFailure) as got:
         integrate(h, StateVector.basis(2, 0), grid, cfg)
-    assert str(got.value) == "non-finite state at t = 3.47"
+    assert str(got.value) == "RK4 diverged at t = 0.34: total probability reached 2"
+
+
+def _package_imports(module: str) -> set:
+    """In-package modules that ``module``'s source imports (relative or absolute)."""
+    package = Path(nlevel_rabi.__file__).parent
+    found = set()
+    for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nlevel_rabi."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("nlevel_rabi."))
+    return {name.split(".")[0] for name in found}
+
+
+def test_rk4_oracle_imports_no_closed_form_code():
+    closure, todo = set(), ["propagate"]
+    while todo:
+        module = todo.pop()
+        if module not in closure:
+            closure.add(module)
+            todo.extend(_package_imports(module))
+    assert not closure & {"spectral", "exact", "dyson"}, closure
 
 
 def test_step_schedule_is_built_one_chunk_at_a_time():
@@ -516,8 +544,9 @@ def test_step_budget_ends_every_member_with_its_solo_partial_trajectory(max_step
 
 
 def test_overflowing_member_fails_alone_and_silently():
-    # the middle member grows like exp(100 t) and overflows after several chunks
-    blowup = lambda t: 100j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
+    # the middle member's total probability grows like exp(0.2 t) and reaches 2 at
+    # t = ln(2) / 0.2 = 3.47, in its sixth chunk of 64 steps
+    blowup = lambda t: 0.1j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
     (rwa, psi_a), (cosine, psi_b), _ = _stack_members(2)
     members = [(rwa, psi_a), (blowup, StateVector.basis(2, 0)), (cosine, psi_b)]
     grid, cfg = [0.0, 1.0, 10.0], IntegratorConfig(step=0.01)
