@@ -101,7 +101,9 @@ class RunConfig:
             raise ConfigError("t_max must be positive and finite")
         levels = LevelSpec(self.energies)
         drive = DriveSpec(levels.n, self.omega, self.g, rwa=self.solver != "numeric-full")
-        psi0 = StateVector.normalized(self.initial)
+        # a StateVector is taken as it is: a sweep passes its base run's on
+        psi0 = (self.initial if isinstance(self.initial, StateVector)
+                else StateVector.normalized(self.initial))
         if psi0.n != levels.n:
             raise ConfigError(f"initial state must have {levels.n} amplitudes")
         integrator = None
@@ -430,19 +432,31 @@ def cmd_compare(args) -> int:
 SWEEP_KEYS = tuple(f"{sec}.{key}" for key, (sec, *_) in RUN_KEYS.items() if key != "output")
 
 
+def _sweep_run(base: RunConfig, key: str, text: str) -> RunConfig:
+    """``base`` with run key ``key`` set from ``text``, as load_config reads a flag override.
+
+    The INI file is read once per sweep, for ``base``.  ``base.psi0`` is passed on as
+    it is: normalising the normalised amplitudes again can move their last bits.
+    """
+    try:
+        value = _parse_initial(text, base.levels.n) if key == "initial" else RUN_KEYS[key][2](text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return replace(base, **{"initial": base.psi0, key: value})
+
+
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_KEYS:
         raise ConfigError(f"cannot sweep {args.param!r}; sweepable keys: {', '.join(SWEEP_KEYS)}")
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    flags = _flag_overrides(args)
-    base = load_config(args.config, flags)
+    base = load_config(args.config, _flag_overrides(args))
     key = args.param.partition(".")[2]
     values = args.values.replace(",", " ").split()
     if not values:
         raise ConfigError(f"--values {args.values!r} holds no values")
     # every value is resolved, and so refused, before anything is written
-    cfgs = [load_config(args.config, {**flags, key: text}) for text in values]
+    cfgs = [_sweep_run(base, key, text) for text in values]
     _check_rk4_flags(args, cfgs)
     outdir = Path(args.outdir)
     try:

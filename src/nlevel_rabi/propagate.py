@@ -8,7 +8,6 @@ drift stays visible as an error meter.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -151,23 +150,57 @@ def _write_rows(write, table, line, sep=""):
         write(sep + text if start else text)
 
 
-_CHUNK = 64  # RK4 steps whose stage Hamiltonians are built in one h_fn call
+def _chunk_length(runs: int, n: int) -> int:
+    """RK4 steps per chunk: the three stage matrices of every step and run in 2^19 bytes.
+
+    A step holds 48 runs n^2 bytes of stage Hamiltonians (three n x n matrices of
+    16-byte complex numbers per run); at least 16 and at most 1024 steps a chunk.
+    """
+    return int(np.clip(2 ** 19 // (48 * runs * n * n), 16, 1024))
 
 
-def _steps(t_grid: np.ndarray, step: float):
-    """(t, h, lands) for each RK4 step, generated lazily.
+def _schedule(t_grid: np.ndarray, step: float, chunk: int):
+    """(ts, hs, lands) arrays of the RK4 steps, in blocks of at most ``chunk`` steps.
 
     Fixed steps of ``step``; the step before each grid point is clipped so that
-    it lands there exactly.  ``lands`` marks the step that reaches a grid point.
+    it lands there exactly.  In the interval [a, b], step k starts at t_k, the sum
+    a + step + ... + step added left to right, which one ``np.add.accumulate``
+    over the row [a, step, step, ...] gives bit for bit.  The step that lands is
+    the first k with b - t_k <= step (1 + 1e-12), which takes h = b - t_k, or
+    with t_k + step rounding to b; ``lands`` marks it.  The next interval starts
+    at b.  A block takes one row per interval it reaches, at most 4 chunk
+    entries in all, and an interval longer than a block carries on into the
+    next one, so memory stays O(chunk) however long the grid is.
     """
-    t = 0.0
-    for target in t_grid[1:]:
-        while t < target:
-            rem = target - t
-            h = rem if rem <= step * (1.0 + 1e-12) else step
-            t_next = target if h == rem else t + h
-            yield t, h, not t_next < target
-            t = t_next
+    reach = step * (1.0 + 1e-12)
+    t, i = 0.0, 0  # the next step starts at t, in the interval that ends at t_grid[i + 1]
+    while i < len(t_grid) - 1:
+        ends = t_grid[i + 1 : i + 1 + chunk]
+        starts = t_grid[i : i + len(ends)].copy()
+        starts[0] = t
+        # the steps each interval takes (one more may come from the rounding of the sums);
+        # rows up to the one that fills the chunk, as wide as the widest, 4 chunk entries at most
+        steps = np.ceil(np.minimum((ends - starts) / reach, chunk))
+        fill = np.searchsorted(np.cumsum(steps), chunk) + 1
+        cap = np.searchsorted(np.arange(1, len(steps) + 1) * np.maximum.accumulate(steps + 1),
+                              4 * chunk, side="right")
+        rows = max(1, min(fill, cap))
+        width = int(min(steps[:rows].max() + 1, chunk))
+        sums = np.full((rows, width + 1), step)
+        sums[:, 0] = starts[:rows]
+        sums = np.add.accumulate(sums, axis=1)
+        ts, b = sums[:, :-1], ends[:rows, None]
+        rem = b - ts
+        land = (rem <= reach) | (sums[:, 1:] >= b)
+        # each row's steps up to its landing; a row that does not land ends the block
+        landed = land.any(axis=1)
+        taken = np.arange(width) <= np.where(landed, land.argmax(axis=1), width - 1)[:, None]
+        if not landed.all():
+            taken[np.argmin(landed) + 1 :] = False
+        ts, rem, lands = ts[taken][:chunk], rem[taken][:chunk], land[taken][:chunk]
+        yield ts, np.where(rem <= reach, rem, step), lands
+        i += int(np.count_nonzero(lands))
+        t = t_grid[i] if lands[-1] else ts[-1] + step
 
 
 def integrate(h_fn: HamiltonianFn, psi0: StateVector, t_grid, cfg: IntegratorConfig) -> Trajectory:
@@ -175,8 +208,11 @@ def integrate(h_fn: HamiltonianFn, psi0: StateVector, t_grid, cfg: IntegratorCon
 
     Fixed steps of ``cfg.step``; the step before each grid point is clipped so
     that it lands there exactly (never interpolated).  ``h_fn`` gets a 1-D
-    array of times and is called once per ``_CHUNK`` steps, with the times t,
-    t + h/2 and t + h of every step in the chunk; k2 and k3 share t + h/2.
+    array of times, once per chunk of steps (see ``_chunk_length``), and is
+    asked for each distinct stage time once: t and t + h/2 of every step in the
+    chunk (k2 and k3 share t + h/2), and t + h only of the chunk's last step and
+    of a step whose t + h is not the float the next step starts at (a clipped
+    step, rarely); every other step ends where the next one starts.
     This is ``integrate_stack`` of one run, with its failure raised.
     """
     (result,) = integrate_stack([h_fn], [psi0], t_grid, cfg)
@@ -192,12 +228,18 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
     linear, so an RK4 step is Psi + D Psi with the increment
     D = (h/6)(K1 + 2 K2 + 2 K3 + K4), where K1 = -iH(t),
     K2 = -iH(t + h/2)(I + (h/2) K1), K3 = -iH(t + h/2)(I + (h/2) K2) and
-    K4 = -iH(t + h)(I + h K3).  Per chunk of ``_CHUNK`` steps, each ``h_fn``
-    is called once and the increments of all steps and runs are built in one
+    K4 = -iH(t + h)(I + h K3).  The step schedule comes as arrays, one chunk at
+    a time (``_schedule``), and a chunk's length follows from a byte budget for
+    its stage Hamiltonians (``_chunk_length``); no chunk holds more steps than
+    the budget ``cfg.max_steps`` has left.  Per chunk, each ``h_fn`` is called
+    once, with every distinct stage time once: H(t + h) of a step whose t + h
+    is the float the next step starts at is that step's H(t), so it is built
+    only for the chunk's last step and the few clipped steps whose t + h rounds
+    off the grid point.  The increments of all steps and runs are built in one
     batched pass; the states then advance with one (B, n, n) @ (B, n, 1)
     product per step.  The identity is kept out of D: I + D would round its
-    diagonal at every step.  Each run's states equal its solo ``integrate``
-    bit for bit.
+    diagonal at every step.  Each run's states equal its solo ``integrate`` bit
+    for bit.
 
     Returns one entry per run: its ``Trajectory``, or the ``NumericFailure``
     or ``StepBudgetExceeded`` that a solo run would raise (returned, not
@@ -215,39 +257,49 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
 
     psi = np.array([p.amp for p in psi0s], dtype=complex)[:, :, None]
     runs, n = psi.shape[:2]
+    chunk = _chunk_length(runs, n)
     eye = np.eye(n, dtype=complex)
     states = [psi[None, :, :, 0]]  # (grid points, run, n) blocks
     failures = [None] * runs
     steps_used = 0
-    steps = _steps(t_grid, cfg.step)
     # stage Hamiltonians (time, run, n, n), step increments, stages and stage arguments
     # (step, run, n, n), and the states a chunk passes through (step, run, n, 1), refilled
     # per chunk; one buffer each keeps the peak memory at one chunk's matrices
-    stack = np.empty((3 * _CHUNK, runs, n, n), dtype=complex)
-    work = np.empty((3, _CHUNK, runs, n, n), dtype=complex)
-    path = np.empty((_CHUNK + 1, runs, n, 1), dtype=complex)
+    stack = np.empty((3 * chunk, runs, n, n), dtype=complex)
+    work = np.empty((3, chunk, runs, n, n), dtype=complex)
+    path = np.empty((chunk + 1, runs, n, 1), dtype=complex)
     path[0] = psi
     # out-of-range states are caught below; numpy's overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        while chunk := list(itertools.islice(steps, _CHUNK)):
-            ts, hs, lands = np.array(chunk).T
-            times = np.concatenate((ts, ts + 0.5 * hs, ts + hs))
+        for block in _schedule(t_grid, cfg.step, chunk):
+            todo = min(len(block[0]), cfg.max_steps - steps_used)
+            if not todo:
+                break
+            ts, hs, lands = (a[:todo] for a in block)  # no chunk past the step budget
+            # stage times: t, the end of the last step, t + h/2, and the ends of the steps
+            # whose t + h is not the float the next step starts at (a few clipped steps);
+            # h_end, the next step's H(t), is corrected for those
+            ends = ts + hs
+            own = np.flatnonzero(ends[:-1] != ts[1:])
+            times = np.concatenate((ts, ends[-1:], ts + 0.5 * hs, ends[own]))
             for b, h_fn in enumerate(h_fns):
                 stack[: len(times), b] = h_fn(times)
-            h_start, h_mid, h_end = stack[: len(times)].reshape((3, len(chunk)) + stack.shape[1:])
-            h, (inc, k, x) = hs[:, None, None, None], work[:, : len(chunk)]
+            h_start, h_end = stack[:todo], stack[1 : todo + 1]
+            h_mid, h_own = stack[todo + 1 : 2 * todo + 1], stack[2 * todo + 1 : len(times)]
+            h, (inc, k, x) = hs[:, None, None, None], work[:, :todo]
             np.multiply(-1j, h_start, out=inc)  # K1; inc then sums the stages in place
             for c, weight, ham, prev in ((0.5, 2.0, h_mid, inc), (0.5, 2.0, h_mid, k),
                                          (1.0, 1.0, h_end, k)):
                 np.multiply(c * h, prev, out=x)
                 x += eye
                 np.matmul(ham, x, out=k)
+                if ham is h_end and own.size:
+                    k[own] = h_own @ x[own]
                 k *= -1j  # K2, K3, K4 = -iH (I + c h K_prev)
                 np.multiply(weight, k, out=x)
                 inc += x
             inc *= h / 6.0
-            todo = min(len(chunk), cfg.max_steps - steps_used)
-            for d, now, nxt in zip(inc[:todo], path, path[1:]):
+            for d, now, nxt in zip(inc, path, path[1:]):
                 np.add(now, d @ now, out=nxt)
             steps_used += todo
             # (step, run): total probability below 2; NaN compares False, so it fails too
@@ -260,15 +312,13 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
             if all(failures):
                 return failures
             # boolean indexing copies, so path can be refilled
-            states.append(path[1 : todo + 1][lands[:todo].astype(bool), :, :, 0])
-            if todo < len(chunk):
-                partial = np.concatenate(states)
-                return [failure or StepBudgetExceeded(
-                            Trajectory(t_grid[: len(partial)], partial[:, b]))
-                        for b, failure in enumerate(failures)]
+            states.append(path[1 : todo + 1][lands, :, :, 0])
             path[0] = path[todo]
             path[0, ~ok] = 0.0
     states = np.concatenate(states)
+    if len(states) < len(t_grid):  # the budget ran out before the end of the grid
+        return [failure or StepBudgetExceeded(Trajectory(t_grid[: len(states)], states[:, b]))
+                for b, failure in enumerate(failures)]
     return [failure or Trajectory(t_grid, states[:, b]) for b, failure in enumerate(failures)]
 
 

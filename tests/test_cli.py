@@ -13,7 +13,7 @@ import pytest
 import nlevel_rabi.cli as cli
 from nlevel_rabi.cli import (RUN_KEYS, SOLVER_TABLE, SWEEP_KEYS, RunConfig, build_parser,
                               load_config, main, run_solver)
-from nlevel_rabi.model import ConfigError
+from nlevel_rabi.model import ConfigError, StateVector
 from nlevel_rabi.propagate import IntegratorConfig
 
 
@@ -556,6 +556,34 @@ def test_stacked_sweep_runs_match_solo_evolve(tmp_path, monkeypatch, param, jobs
         solo = tmp_path / f"solo_{run['index']}.csv"
         assert main(["evolve", cfg, flag, value, "--output", str(solo)]) == 0
         assert (outdir / run["file"]).read_bytes() == solo.read_bytes()
+
+
+@pytest.mark.parametrize("param, values", [("drive.g", "0.05,0.1,0.2"), ("run.t_max", "1,1.5"),
+                                           ("run.solver", "numeric-rwa,exact")])
+def test_sweep_reads_its_config_once(tmp_path, monkeypatch, param, values):
+    # these amplitudes move in their last bits if normalised twice; a swept run must
+    # start from the state load_config gives, as a solo run does
+    amps = StateVector.normalized([1, 1, 0]).amp
+    assert not np.array_equal(StateVector.normalized(amps).amp, amps)
+    calls = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda *args: calls.append(args) or load(*args))
+    cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.5", samples="7",
+                       initial="1, 1, 0", fmt="json")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", param, "--values", values, "--outdir", str(outdir)]) == 0
+    assert len(calls) == 1
+    flag = "--" + param.partition(".")[2].replace("_", "-")
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    for run, value in zip(runs, values.split(",")):
+        solo = tmp_path / "solo.json"
+        assert main(["evolve", cfg, flag, value, "--output", str(solo)]) == 0
+        swept, alone = (json.loads(path.read_text()) for path in (outdir / run["file"], solo))
+        # the file's own provenance differs in output and, normalised once more when the
+        # sweep sets output, in initial; the states are the solo run's bit for bit
+        for doc in (swept, alone):
+            del doc["config"]["output"], doc["config"]["initial"]
+        assert swept == alone  # floats read back from repr
 
 
 def test_solver_sweep_with_a_step_matches_solo_runs(tmp_path):

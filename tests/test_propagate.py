@@ -1,12 +1,13 @@
 import ast
 import io
+import itertools
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlevel_rabi
@@ -32,6 +33,7 @@ from nlevel_rabi.propagate import (
     integrate,
     integrate_stack,
 )
+from nlevel_rabi.propagate import _chunk_length, _schedule
 from nlevel_rabi.spectral import coupling_matrix, exp_c
 
 STEP = 2.0 ** -6  # binary step: k steps land exactly on t = k * STEP
@@ -327,6 +329,51 @@ def test_rwa_vs_cosine_drive_weak_coupling():
     assert np.max(np.abs(a.populations - b.populations)) < 0.02
 
 
+# The per-step schedule rule that `_schedule` replaced: one (t, h, lands) per step.
+def _reference_steps(t_grid, step):
+    t = 0.0
+    for target in t_grid[1:]:
+        while t < target:
+            rem = target - t
+            h = rem if rem <= step * (1.0 + 1e-12) else step
+            t_next = target if h == rem else t + h
+            yield t, h, not t_next < target
+            t = t_next
+
+
+def _first_steps(t_grid, step, chunk, limit):
+    """The first ``limit`` steps of ``_schedule`` as (t, h, lands) rows, and its block lengths."""
+    rows, blocks = [], []
+    for ts, hs, lands in _schedule(np.asarray(t_grid, dtype=float), step, chunk):
+        blocks.append(len(ts))
+        rows += zip(ts.tolist(), hs.tolist(), lands.tolist())
+        if len(rows) >= limit:
+            break
+    return rows[:limit], blocks
+
+
+def _interval_grids():
+    """Grids from 0 made of 1 to 12 intervals of random length."""
+    widths = st.lists(st.floats(1e-4, 3.0), min_size=1, max_size=12)
+    return widths.map(lambda w: np.concatenate(([0.0], np.cumsum(w))))
+
+
+# The [0, 1, 2] / 0.1 grid ends each interval a rounding error short (0.9999999999999999);
+# a clipped grid; one-step intervals; one interval of 1e9 that the budget cuts after 3000 steps.
+@settings(max_examples=200, deadline=None)
+@given(grid=_interval_grids(), step=st.floats(1e-3, 1.0), chunk=st.integers(16, 1024))
+@example(grid=np.array([0.0, 1.0, 2.0]), step=0.1, chunk=16)
+@example(grid=np.linspace(0.0, 2.9, 8), step=0.0123, chunk=16)
+@example(grid=np.arange(9) * 0.25, step=1.0, chunk=16)
+@example(grid=np.array([0.0, 1e9]), step=1e-3, chunk=1024)
+def test_schedule_matches_the_per_step_rule(grid, step, chunk):
+    limit = 3000
+    ref = list(itertools.islice(_reference_steps(grid, step), limit))
+    got, blocks = _first_steps(grid, step, chunk, limit)
+    assert got == ref  # float equality: bit for bit
+    assert all(1 <= size <= chunk for size in blocks)
+
+
 # The per-step RK4 loop that `integrate` replaced: four scalar h_fn calls per
 # step, stages applied to psi.  `integrate` applies the same stages to the
 # identity, so its states differ from this reference by rounding only.
@@ -390,16 +437,37 @@ def _psi0(n):
     return StateVector.normalized(np.arange(1, n + 1) + 1j * np.arange(n, 0, -1))
 
 
+def _steps_around(steps, chunk):
+    """``steps``, or for "chunk-1", "chunk" and "chunk+1" that many steps around ``chunk``."""
+    return steps if isinstance(steps, int) else chunk + int(steps[len("chunk"):] or 0)
+
+
+def _one_interval_sizes(steps, chunk):
+    """h_fn call sizes over [0, steps * STEP]: t and t + h/2 of every step, the chunk's end."""
+    return [2 * min(chunk, steps - k) + 1 for k in range(0, steps, chunk)]
+
+
+AROUND_CHUNK = [1, 63, 64, 65, 129, "chunk-1", "chunk", "chunk+1"]
+
+
 @pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "cosine"])
 @pytest.mark.parametrize("n", [2, 4, 8])
-@pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("steps", AROUND_CHUNK)
 def test_chunked_rk4_matches_per_step_loop(n, rwa, steps):
+    chunk = _chunk_length(1, n)
+    steps = _steps_around(steps, chunk)
     h_fn, sizes = _counting(_ladder_h_fn(n, rwa))
     grid, cfg = [0.0, steps * STEP], IntegratorConfig(step=STEP)
     got = integrate(h_fn, _psi0(n), grid, cfg)
     _assert_matches_reference(got, _reference_integrate(_ladder_h_fn(n, rwa), _psi0(n), grid, cfg))
-    # one call per chunk of 64 steps, three stage times per step
-    assert sizes == [3 * min(64, steps - k) for k in range(0, steps, 64)]
+    # one call per chunk; a step ends where the next starts, so only the chunk's end is added
+    assert sizes == _one_interval_sizes(steps, chunk)
+
+
+def test_chunk_length_follows_the_byte_budget():
+    # three n x n complex stage matrices per step and run in 2^19 bytes, within [16, 1024]
+    assert [_chunk_length(1, n) for n in (2, 4, 8, 16)] == [1024, 682, 170, 42]
+    assert [_chunk_length(4, n) for n in (2, 4, 8, 16)] == [682, 170, 42, 16]
 
 
 # a grid that is not a multiple of the step, and one whose last step before each
@@ -426,10 +494,68 @@ def test_step_increments_keep_the_identity_out():
     _assert_matches_reference(got, ref, tol=1e-13)
 
 
-@pytest.mark.parametrize("max_steps", [63, 64, 65])
+# a clipped grid of ~330 steps (several chunks at n = 8, one at n = 2), and a grid with a
+# one-step interval whose t + h misses the grid point: 0.04 + (0.11 - 0.04) = 0.11000000000000001
+STAGE_GRIDS = {"clipped": (np.linspace(0.0, 4.1, 12), 0.0123),
+               "inexact-end": (np.array([0.0, 0.04, 0.11, 0.2, 0.31, 0.35, 0.5]), 0.1)}
+
+
+@pytest.mark.parametrize("grid", STAGE_GRIDS)
+@pytest.mark.parametrize("n", [2, 8])
+def test_h_fn_gets_each_distinct_stage_time_once(n, grid):
+    grid, step = STAGE_GRIDS[grid]
+    calls = []
+    h_fn = _ladder_h_fn(n, True)
+    integrate(lambda t: calls.append(np.array(t)) or h_fn(t), _psi0(n), grid,
+              IntegratorConfig(step=step))
+    blocks = list(_schedule(grid, step, _chunk_length(1, n)))
+    assert len(calls) == len(blocks)
+    for times, (ts, hs, _) in zip(calls, blocks):
+        # t and t + h/2 of every step; t + h of the chunk's last step and of each step
+        # whose t + h is not the float the next step starts at
+        ends = ts + hs
+        own_end = np.append(ends[:-1] != ts[1:], True)
+        expected = np.concatenate((ts, ts + 0.5 * hs, ends[own_end]))
+        np.testing.assert_array_equal(np.sort(times), np.sort(expected))
+    # every stage time of the per-step loop is one that h_fn was asked for, bit for bit
+    asked = set(np.concatenate(calls).tolist())
+    for t, h, _ in _reference_steps(grid, step):
+        assert {t, t + 0.5 * h, t + h} <= asked
+
+
+def _bit_sensitive_h_fn(n):
+    """A Hermitian H(t) scaled by 1 + (the low 8 bits of t) / 255: one ulp of t moves it."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    base = (a + a.conj().T) / 2
+
+    def h_fn(t):
+        bits = np.asarray(t, dtype=float).view(np.uint64) & 0xFF
+        return base * (1.0 + bits / 255.0)[..., None, None]
+
+    return h_fn
+
+
+@pytest.mark.parametrize("grid", STAGE_GRIDS)
+@pytest.mark.parametrize("n", [2, 8])
+def test_every_stage_uses_the_hamiltonian_at_its_own_time(n, grid):
+    # a stage that took H at a time one ulp off the per-step loop's would be off by
+    # about 1e-3 here, not by rounding
+    grid, step = STAGE_GRIDS[grid]
+    cfg = IntegratorConfig(step=step)
+    got = integrate(_bit_sensitive_h_fn(n), _psi0(n), grid, cfg)
+    _assert_matches_reference(got, _reference_integrate(_bit_sensitive_h_fn(n), _psi0(n),
+                                                        grid, cfg), tol=1e-13)
+
+
+# 16 steps per grid interval, so the budget runs out between grid points; 1152 steps in all
+BUDGET_GRID = np.linspace(0.0, 18.0, 73)
+
+
+@pytest.mark.parametrize("max_steps", [63, 64, 65, "chunk-1", "chunk", "chunk+1"])
 def test_step_budget_partial_trajectory_matches_per_step_loop(max_steps):
-    # 16 steps per grid interval, so the budget runs out between grid points
-    grid, cfg = np.linspace(0.0, 3.0, 13), IntegratorConfig(step=STEP, max_steps=max_steps)
+    max_steps = _steps_around(max_steps, _chunk_length(1, 3))
+    grid, cfg = BUDGET_GRID, IntegratorConfig(step=STEP, max_steps=max_steps)
     with pytest.raises(StepBudgetExceeded) as got:
         integrate(_ladder_h_fn(3, True), _psi0(3), grid, cfg)
     with pytest.raises(StepBudgetExceeded) as ref:
@@ -477,13 +603,14 @@ def test_rk4_oracle_imports_no_closed_form_code():
 
 
 def test_step_schedule_is_built_one_chunk_at_a_time():
-    # 1e12 steps to the end of the grid; the budget stops the run in its second chunk
+    # 1e12 steps to the end of the grid; the one chunk built holds the 100 steps of the
+    # budget: their t and t + h/2, and the end of the last
     h_fn, sizes = _counting(_ladder_h_fn(2, True))
     cfg = IntegratorConfig(step=1e-3, max_steps=100)
     with pytest.raises(StepBudgetExceeded) as exc:
         integrate(h_fn, StateVector.basis(2, 0), [0.0, 1e9], cfg)
     assert len(exc.value.trajectory.times) == 1
-    assert sizes == [3 * 64, 3 * 64]
+    assert sizes == [2 * 100 + 1]
 
 
 # A stack mixes RWA and cosine members with different starting states; each member
@@ -507,16 +634,18 @@ def _assert_stack_matches_per_step_loop(members, grid, cfg):
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
-@pytest.mark.parametrize("steps", [1, 64, 65, 129])
+@pytest.mark.parametrize("steps", [1, 64, 65, 129, "chunk-1", "chunk", "chunk+1"])
 def test_stack_members_match_per_step_loop(n, steps):
     members = _stack_members(n)
+    chunk = _chunk_length(len(members), n)
+    steps = _steps_around(steps, chunk)
     counted = [_counting(h_fn) for h_fn, _ in members]
     grid, cfg = [0.0, steps * STEP], IntegratorConfig(step=STEP)
     integrate_stack([h for h, _ in counted], [psi for _, psi in members], grid, cfg)
     _assert_stack_matches_per_step_loop(members, grid, cfg)
-    # each member's h_fn is called once per chunk of 64 steps
+    # each member's h_fn is called once per chunk of the stack's length
     for _, sizes in counted:
-        assert sizes == [3 * min(64, steps - k) for k in range(0, steps, 64)]
+        assert sizes == _one_interval_sizes(steps, chunk)
 
 
 @pytest.mark.parametrize("grid, step", [(np.linspace(0.0, 2.9, 8), 0.0123),
@@ -526,10 +655,11 @@ def test_stack_members_match_per_step_loop_on_clipped_grid(n, grid, step):
     _assert_stack_matches_per_step_loop(_stack_members(n), grid, IntegratorConfig(step=step))
 
 
-@pytest.mark.parametrize("max_steps", [63, 64, 65])
+@pytest.mark.parametrize("max_steps", [63, 64, 65, "chunk-1", "chunk", "chunk+1"])
 def test_step_budget_ends_every_member_with_its_solo_partial_trajectory(max_steps):
     members = _stack_members(3)
-    grid, cfg = np.linspace(0.0, 3.0, 13), IntegratorConfig(step=STEP, max_steps=max_steps)
+    max_steps = _steps_around(max_steps, _chunk_length(len(members), 3))
+    grid, cfg = BUDGET_GRID, IntegratorConfig(step=STEP, max_steps=max_steps)
     got = integrate_stack([h for h, _ in members], [psi for _, psi in members], grid, cfg)
     for (h_fn, psi0), result in zip(members, got):
         assert isinstance(result, StepBudgetExceeded)
@@ -545,7 +675,7 @@ def test_step_budget_ends_every_member_with_its_solo_partial_trajectory(max_step
 
 def test_overflowing_member_fails_alone_and_silently():
     # the middle member's total probability grows like exp(0.2 t) and reaches 2 at
-    # t = ln(2) / 0.2 = 3.47, in its sixth chunk of 64 steps
+    # t = ln(2) / 0.2 = 3.47, in the first of the stack's two chunks (910 and 90 steps)
     blowup = lambda t: 0.1j * np.ones(np.shape(t) + (1, 1)) * np.eye(2)
     (rwa, psi_a), (cosine, psi_b), _ = _stack_members(2)
     members = [(rwa, psi_a), (blowup, StateVector.basis(2, 0)), (cosine, psi_b)]
