@@ -32,7 +32,7 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +73,10 @@ class RunConfig:
     """One fully resolved simulation run.
 
     Construction builds the run's ``levels``, ``drive`` (RWA unless the solver is
-    numeric-full), normalised ``psi0`` and RK4 ``integrator`` (None unless the
-    solver integrates) once, so a fault any of them would reveal is refused
-    here, before anything runs or is written.
+    numeric-full), ``psi0`` and RK4 ``integrator`` (None unless the solver
+    integrates) once, so a fault any of them would reveal is refused here, before
+    anything runs or is written.  ``initial`` must be unit amplitudes; they are
+    checked, never rescaled, so ``replace`` and ``from_dict`` keep their bits.
     """
 
     energies: tuple
@@ -101,9 +102,7 @@ class RunConfig:
             raise ConfigError("t_max must be positive and finite")
         levels = LevelSpec(self.energies)
         drive = DriveSpec(levels.n, self.omega, self.g, rwa=self.solver != "numeric-full")
-        # a StateVector is taken as it is: a sweep passes its base run's on
-        psi0 = (self.initial if isinstance(self.initial, StateVector)
-                else StateVector.normalized(self.initial))
+        psi0 = StateVector(self.initial)
         if psi0.n != levels.n:
             raise ConfigError(f"initial state must have {levels.n} amplitudes")
         integrator = None
@@ -124,57 +123,46 @@ class RunConfig:
     __hash__ = None  # omega is a dict
 
     def to_dict(self) -> dict:
-        return {
-            "energies": list(self.energies),
-            "g": self.g,
-            "omega": {f"{i},{j}": w for (i, j), w in sorted(self.omega.items())},
-            "solver": self.solver,
-            "t_max": self.t_max,
-            "samples": self.samples,
-            "initial": [[z.real, z.imag] for z in self.initial],
-            "output": self.output,
-            "format": self.format,
-            # the RK4 settings only when given, so every other run's provenance is unchanged
-            **{key: getattr(self, key) for key in ("step", "max_steps")
-               if getattr(self, key) is not None},
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(energies=list(self.energies),
+                 omega={f"{i},{j}": w for (i, j), w in sorted(self.omega.items())},
+                 initial=[[z.real, z.imag] for z in self.initial])
+        # the RK4 settings only when given, so every other run's provenance is unchanged
+        return {key: v for key, v in d.items() if v is not None or key not in ("step", "max_steps")}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        omega = {tuple(int(x) for x in k.split(",")): float(v) for k, v in d["omega"].items()}
-        initial = tuple(complex(re, im) for re, im in d["initial"])
-        return cls(
-            energies=tuple(d["energies"]),
-            g=float(d["g"]),
-            omega=omega,
-            solver=d["solver"],
-            t_max=float(d["t_max"]),
-            samples=int(d["samples"]),
-            initial=initial,
-            output=d.get("output"),
-            format=d.get("format", "csv"),
-            step=d.get("step"), max_steps=d.get("max_steps"),
-        )
+        return cls(**{**d, "omega": {tuple(int(x) for x in k.split(",")): float(v)
+                                     for k, v in d["omega"].items()},
+                      "initial": tuple(complex(re, im) for re, im in d["initial"])})
 
 
 def _parse_float_list(text: str):
     return [float(x) for x in text.replace(",", " ").split()]
 
 
-def _parse_initial(text: str, n: int):
+def _parse_initial(text: str, n: int) -> tuple:
+    """Unit amplitudes from a level index or an amplitude list, normalised here, once."""
     text = text.strip()
     parts = [p.strip() for p in text.split(",")] if "," in text else [text]
     if len(parts) == 1 and "." not in text and "j" not in text:
         k = int(text)
         if not 0 <= k < n:
             raise ConfigError(f"initial level index {k} out of range for n={n}")
-        amp = [0.0] * n
-        amp[k] = 1.0
-        return tuple(amp)
+        return tuple(float(i == k) for i in range(n))
     amps = tuple(complex(p.replace(" ", "")) for p in parts)
     if len(amps) != n:
         raise ConfigError(f"initial amplitude list must have {n} entries")
-    return amps
+    return tuple(StateVector.normalized(amps).amp)
+
+
+def _run_value(key: str, text: str, n: int):
+    """Run key ``key`` of an n-level run from its text: a file key, a flag or a sweep value."""
+    parse = RUN_KEYS[key][2]
+    try:
+        return parse(text, n) if key == "initial" else parse(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -189,12 +177,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         levels = LevelSpec(energies)
         mode = parser.get("drive", "frequencies", fallback="resonant").strip().lower()
         run = {}
-        for key, (section, fallback, parse, _) in RUN_KEYS.items():
+        for key, (section, fallback, *_) in RUN_KEYS.items():
             text = ov.get(key, parser.get(section, key, fallback=fallback))
             if text is None:
                 raise ConfigError(f"missing key {key!r} in section [{section}]")
-            run[key] = parse(text)
-        run["initial"] = _parse_initial(run["initial"], levels.n)
+            run[key] = _run_value(key, text, levels.n)
         pair_keys = {}
         for key, value in parser.items("drive"):
             if key.startswith("omega_"):
@@ -256,13 +243,13 @@ SOLVER_TABLE = {"exact": _solve_exact, "dyson1": _solve_dyson1, "dyson2": _solve
                 "numeric-rwa": _solve_numeric, "numeric-full": _solve_numeric}
 
 # run key -> (INI section, fallback text or None if the file must give the key, parse, flag help);
-# flag overrides and sweep values are text, parsed the same way as the file's value
+# a file key, a flag override and a sweep value are text, each parsed by _run_value
 RUN_KEYS = {
     "g": ("drive", None, float, "coupling constant"),
     "solver": ("run", "numeric-rwa", str, " | ".join(SOLVER_TABLE)),
     "t_max": ("run", None, float, "last sample time"),
     "samples": ("run", "101", int, "number of samples"),
-    "initial": ("run", "0", str, "level index or amplitude list"),  # resolved once n is known
+    "initial": ("run", "0", _parse_initial, "level index or amplitude list"),  # takes n too
     "output": ("run", "", lambda text: text or None, "output file; stdout when omitted"),
     "format": ("run", "csv", str, "csv | json"),
 }
@@ -409,7 +396,7 @@ def cmd_compare(args) -> int:
     base = load_config(args.config, _flag_overrides(args))
     cfgs = [replace(base, solver=name) for name in solvers]
     _check_rk4_flags(args, cfgs)
-    _check_output(args.output)
+    _check_output(base.output)
     trajs = _run_all(cfgs, lambda idx, result: result)
     for result in trajs:
         if isinstance(result, Exception):
@@ -421,28 +408,15 @@ def cmd_compare(args) -> int:
         "report": report.to_dict(),
     }
     text = json.dumps(doc, indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
+    if base.output is None:
         print(text)
+    else:
+        Path(base.output).write_text(text + "\n")
     return EXIT_OK
 
 
 # section.key for every run key but output, which a sweep sets per run
 SWEEP_KEYS = tuple(f"{sec}.{key}" for key, (sec, *_) in RUN_KEYS.items() if key != "output")
-
-
-def _sweep_run(base: RunConfig, key: str, text: str) -> RunConfig:
-    """``base`` with run key ``key`` set from ``text``, as load_config reads a flag override.
-
-    The INI file is read once per sweep, for ``base``.  ``base.psi0`` is passed on as
-    it is: normalising the normalised amplitudes again can move their last bits.
-    """
-    try:
-        value = _parse_initial(text, base.levels.n) if key == "initial" else RUN_KEYS[key][2](text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return replace(base, **{"initial": base.psi0, key: value})
 
 
 def cmd_sweep(args) -> int:
@@ -456,7 +430,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError(f"--values {args.values!r} holds no values")
     # every value is resolved, and so refused, before anything is written
-    cfgs = [_sweep_run(base, key, text) for text in values]
+    cfgs = [replace(base, **{key: _run_value(key, text, base.levels.n)}) for text in values]
     _check_rk4_flags(args, cfgs)
     outdir = Path(args.outdir)
     try:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nlevel_rabi.cli as cli
 from nlevel_rabi.cli import (RUN_KEYS, SOLVER_TABLE, SWEEP_KEYS, RunConfig, build_parser,
@@ -223,6 +225,11 @@ def test_run_config_validation():
             energies=(0.0, 1.0), g=0.1, omega={(0, 1): 1.0}, solver="exact",
             t_max=1.0, samples=1, initial=(1.0, 0.0),
         )
+    # initial is checked, never rescaled: amplitudes without unit norm are refused
+    for initial in [(1.0, 1.0), (0.5, 0.0), (0.0, 0.0)]:
+        with pytest.raises(ConfigError, match="unit norm"):
+            RunConfig(energies=(0.0, 1.0), g=0.1, omega={(0, 1): 1.0}, solver="exact",
+                      t_max=1.0, samples=3, initial=initial)
 
 
 @pytest.mark.parametrize("solvers", ["exact,numeric-rwa,dyson1", "exact"])
@@ -579,10 +586,10 @@ def test_sweep_reads_its_config_once(tmp_path, monkeypatch, param, values):
         solo = tmp_path / "solo.json"
         assert main(["evolve", cfg, flag, value, "--output", str(solo)]) == 0
         swept, alone = (json.loads(path.read_text()) for path in (outdir / run["file"], solo))
-        # the file's own provenance differs in output and, normalised once more when the
-        # sweep sets output, in initial; the states are the solo run's bit for bit
+        # the file's own provenance differs in output only; the states are the solo run's
+        # bit for bit
         for doc in (swept, alone):
-            del doc["config"]["output"], doc["config"]["initial"]
+            del doc["config"]["output"]
         assert swept == alone  # floats read back from repr
 
 
@@ -810,3 +817,70 @@ def test_importing_the_cli_leaves_concurrent_futures_to_sweep():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def _bits(amp):
+    return np.asarray(amp, dtype=complex).view(np.int64)
+
+
+def test_json_provenance_rebuilds_the_run_bit_for_bit(tmp_path):
+    cfg = load_config(write_config(tmp_path, initial="1, 1, 0", fmt="json"))
+    # normalising these amplitudes a second time would move their last bits
+    assert not np.array_equal(StateVector.normalized(cfg.psi0.amp).amp, cfg.psi0.amp)
+    rebuilt = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    for field in ("energies", "g", "omega", "solver", "t_max", "samples", "initial", "output",
+                  "format", "step", "max_steps", "integrator"):
+        assert getattr(rebuilt, field) == getattr(cfg, field), field
+    assert np.array_equal(rebuilt.psi0.amp, cfg.psi0.amp)
+    assert rebuilt == cfg
+
+
+def test_compare_legs_start_from_the_state_evolve_uses(tmp_path):
+    cfg = write_config(tmp_path, initial="1, 1, 0", t_max="1.0", samples="5")
+    out = tmp_path / "report.json"
+    solvers = ["numeric-rwa", "numeric-full"]
+    assert main(["compare", cfg, "--solvers", ",".join(solvers), "--output", str(out)]) == 0
+    solo = [run_solver(load_config(cfg, {"solver": name})) for name in solvers]
+    doc = {"solvers": solvers, "config": load_config(cfg, {"output": str(out)}).to_dict(),
+           "report": cli.compare(*solo).to_dict()}
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_compare_with_an_empty_output_writes_the_report_to_stdout(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["compare", cfg, "--solvers", "exact,exact", "--output", ""]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["solvers"], err) == (["exact", "exact"], "")
+
+
+def test_compare_writes_its_report_where_the_file_output_key_says(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    report = tmp_path / "report.json"
+    with open(cfg, "a") as fh:
+        fh.write(f"output = {report}\n")
+    assert main(["compare", cfg, "--solvers", "exact,exact"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(report.read_text())["config"]["output"] == str(report)
+
+
+# real and imaginary parts over the whole finite range, overflowing and subnormal ones included
+PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([1e308, -1.7e308, 5e-324, -2.5e-320, 1e-200, 0.0, 1.0]))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(st.builds(complex, PARTS, PARTS),
+                                                    min_size=n, max_size=n)),
+       st.sampled_from(list(SOLVER_TABLE)))
+def test_initial_state_is_normalised_once_and_kept_bit_for_bit(tmp_path, amps, solver):
+    if not any(amps):
+        return  # the zero vector is refused
+    energies = ", ".join(str(float(k)) for k in range(len(amps)))
+    cfg = load_config(write_config(tmp_path, energies=energies,
+                                   initial=", ".join(map(repr, amps))))
+    expected = _bits(StateVector.normalized(amps).amp)
+    assert (_bits(cfg.psi0.amp) == expected).all()
+    rebuilt = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert (_bits(rebuilt.initial) == expected).all()
+    assert (_bits(replace(rebuilt, solver=solver).psi0.amp) == expected).all()
