@@ -30,7 +30,8 @@ __all__ = [
 
 
 class NumericFailure(RuntimeError):
-    """The integration diverged: NaN, or a total probability of 2 or more."""
+    """A run failed numerically: RK4 diverged (NaN, or a total probability of 2 or
+    more), or a solver gave a state grid that is not finite."""
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -91,8 +92,12 @@ class Trajectory:
     def to_csv(self, target):
         """CSV with header t, re_0, im_0, ..., p_0, ...; 17 significant digits.
 
-        ``target`` may be a path or an open text stream.
+        Each row is ``",".join("%.17g" % v for v in row)``, byte for byte, made by
+        ``csvtext.lines`` a block of rows at a time.  ``target`` may be a path or an
+        open text stream.
         """
+        from . import csvtext  # compiled on the first CSV write, not at every start-up
+
         n = self.n
         header = ["t"]
         header += [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
@@ -101,7 +106,8 @@ class Trajectory:
         table = np.column_stack([self.times, self.states.view(float), self.populations])
         with _opened(target) as fh:
             fh.write(",".join(header) + "\n")
-            _write_rows(fh.write, table, ",".join(["%.17g"] * table.shape[1]) + "\n")
+            for text in csvtext.lines(table):
+                fh.write(text)
 
     def to_json(self, target, config: dict | None = None):
         """JSON variant carrying the full input configuration as provenance.
@@ -109,7 +115,7 @@ class Trajectory:
         The text is ``json.dump(doc, fh, indent=2)`` and a newline, byte for byte,
         where doc holds ``config`` (``{}`` if None), ``times``, ``states`` as
         [re, im] pairs and ``populations``.  Each section's rows are written from
-        one ``%r`` template, the way ``to_csv`` writes its rows.
+        one ``%r`` template.
         """
         pops = self.populations
         levels = lambda item: "    [\n" + ",\n".join([item] * self.n) + "\n    ]"
@@ -140,7 +146,7 @@ def _opened(target):
     return contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "w")
 
 
-def _write_rows(write, table, line, sep=""):
+def _write_rows(write, table, line, sep):
     """write ``line % row`` for each row of ``table``, with ``sep`` between rows.
 
     Rows are formatted 256 at a time, which bounds the text held in memory.

@@ -16,6 +16,7 @@ import nlevel_rabi.cli as cli
 from nlevel_rabi.cli import (RUN_KEYS, SOLVER_TABLE, SWEEP_KEYS, RunConfig, build_parser,
                               load_config, main, run_solver)
 from nlevel_rabi.model import ConfigError, StateVector
+from nlevel_rabi.csvtext import slots
 from nlevel_rabi.propagate import IntegratorConfig
 
 
@@ -712,6 +713,55 @@ def test_diverging_rk4_run_fails_in_a_sweep(tmp_path, capsys):
     ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
     assert (ok["status"], failed["status"]) == ("ok", "numeric")
     assert (failed["error"], failed["norm_drift"]) == (DIVERGED_AT_0, None)
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_exact_trajectory_is_written_without_the_fallback_formatter(tmp_path):
+    # the exact-grid benchmark's shape: n = 8, 1001 samples, t up to 100
+    cfg = write_config(tmp_path, energies=", ".join(str(k) for k in range(8)), t_max="100",
+                       samples="1001")
+    traj = run_solver(load_config(cfg))
+    table = np.column_stack([traj.times, traj.states.view(float), traj.populations])
+    assert (table == 0).any() and not slots(table.ravel())[1].any()
+
+
+# closed forms evaluated where their floats overflow: g t past the range of exp, cos and
+# sin (exact), amplitudes whose squares overflow (dyson1), a quadrature step so small that
+# the count of its nodes overflows (dyson2)
+OVERFLOWING = {
+    "exact": (["--samples", "3", "--g", "1e300", "--t-max", "1e10"], "5e+09"),
+    "dyson1": (["--g", "1e308"], "0.2"),
+    "dyson2": (["--g", "1e200"], "0.2"),
+}
+
+
+@pytest.mark.parametrize("solver", OVERFLOWING)
+def test_closed_form_run_that_overflows_exits_4_with_one_json_line(tmp_path, capsys, solver):
+    flags, t = OVERFLOWING[solver]
+    cfg = write_config(tmp_path, t_max="20", samples="101")
+    path = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", cfg, "--solver", solver, *flags, "--output", str(path)]) == 4
+    assert not path.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "numeric", "message":
+                               f"{solver} gave a non-finite amplitude or population at t = {t}"}
+
+
+def test_closed_form_run_that_overflows_fails_in_a_sweep(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver="dyson2", t_max="20", samples="101")
+    outdir = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,1e200",
+                     "--outdir", str(outdir)]) == 4
+    ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert (ok["status"], failed["status"]) == ("ok", "numeric")
+    assert (failed["error"], failed["file"], failed["norm_drift"]) == (
+        "dyson2 gave a non-finite amplitude or population at t = 0.2", None, None)
+    assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "run_000.csv"]
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 

@@ -303,6 +303,25 @@ def test_to_json_is_the_stdlib_indent_2_text(rows, n, data, config):
     assert out.getvalue() == json.dumps(reference, indent=2) + "\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 8), st.data())
+def test_to_csv_is_the_percent_17g_text(rows, n, data):
+    times = data.draw(st.lists(NASTY_FLOATS, min_size=rows, max_size=rows))
+    parts = data.draw(st.lists(NASTY_FLOATS, min_size=2 * rows * n, max_size=2 * rows * n))
+    states = np.array(parts, dtype=float).view(complex).reshape(rows, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # |z|^2 of 1e308 is inf
+        populations = (np.abs(states) ** 2).tolist()
+        out = io.StringIO()
+        Trajectory(times, states).to_csv(out)
+    header = ["t", *(f"{part}_{k}" for k in range(n) for part in ("re", "im")),
+              *(f"p_{k}" for k in range(n))]
+    lines = [",".join(header)]
+    for r in range(rows):
+        row = [times[r], *parts[2 * n * r : 2 * n * (r + 1)], *populations[r]]
+        lines.append(",".join("%.17g" % v for v in row))
+    assert out.getvalue() == "".join(line + "\n" for line in lines)
+
+
 def test_to_json_writes_rows_in_blocks_with_the_stdlib_text(tmp_path):
     # 600 rows: three 256-row blocks, so the separators between blocks are checked too
     rng = np.random.default_rng(3)
