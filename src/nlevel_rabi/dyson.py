@@ -107,15 +107,15 @@ def a_matrix_3(g: float, eps: float, t: float) -> np.ndarray:
 
 def _running_integral(a: np.ndarray, h: np.ndarray, m: np.ndarray,
                       start: np.ndarray) -> np.ndarray:
-    """Int_0^s A at every node of every sample, O(h^4) accurate.
+    """Int_0^s A at every node of every stack, O(h^4) accurate.
 
-    Sample i has nodes start[i] .. start[i] + m[i] of the stack ``a``, spaced
-    h[i].  Even nodes take the composite Simpson prefix; odd nodes add the
-    three-point half-panel rule h/12 * (5 f_k + 8 f_{k+1} - f_{k+2}).
+    Stack i has nodes start[i] .. start[i] + m[i] of ``a``, spaced h[i].  Even
+    nodes take the composite Simpson prefix; odd nodes add the three-point
+    half-panel rule h/12 * (5 f_k + 8 f_{k+1} - f_{k+2}).
     """
     panels = m // 2
     ends = np.cumsum(panels)
-    # first node of every panel: start[i] + 2p for panel p of sample i
+    # first node of every panel: start[i] + 2p for panel p of stack i
     first = np.repeat(start - 2 * (ends - panels), panels) + 2 * np.arange(ends[-1])
     hp = np.repeat(h, panels)[:, None, None]
     panel, f1, f2 = a[first], a[first + 1], a[first + 2]
@@ -132,25 +132,52 @@ def _running_integral(a: np.ndarray, h: np.ndarray, m: np.ndarray,
     return out
 
 
+def _layout(m: np.ndarray):
+    """Stacked runs of m[i] + 1 nodes: the first row of each run, and each row's k."""
+    start = np.cumsum(m + 1) - (m + 1)
+    return start, np.arange(start[-1] + m[-1] + 1) - np.repeat(start, m + 1)
+
+
 def _series(n: int, g: float, det: Detunings, times: np.ndarray, m: np.ndarray,
             order: int) -> np.ndarray:
-    """I - i*g Int A - g^2 Int A Int A, one matrix per time, by Simpson on m[i] intervals."""
+    """I - i*g Int A - g^2 Int A Int A, one matrix per time, by Simpson on m[i] intervals.
+
+    Samples whose h = t/m is the same float and whose last node m*h is t itself
+    share one stack: A(s), its running integral and A Int A are evaluated once on
+    the longest member's nodes k*h, and each sample gathers its first m + 1 rows.
+    Any other sample is a stack of its own.  A node's rows have the same bits in
+    any stack, so every sample's Simpson sums are those of its solo call.
+    """
     h = times / m
-    start = np.cumsum(m + 1) - (m + 1)
-    # node k of sample i is k * h[i], its last node exactly t[i], as np.linspace gives them
-    k = np.arange(start[-1] + m[-1] + 1) - np.repeat(start, m + 1)
-    nodes = k * np.repeat(h, m + 1)
-    nodes[start + m] = times
+    shared = m * h == times
+    by_h = np.lexsort((m, h, ~shared))  # shared samples first, by h, each h by m
+    hs = h[by_h]
+    first = np.ones(len(times), dtype=bool)  # first sample of its stack, in by_h order
+    first[1:] = (hs[1:] != hs[:-1]) | ~shared[by_h][1:]
+    owner = np.empty_like(m)  # the longest sample of each sample's stack
+    owner[by_h] = by_h[np.append(first[1:], True)][np.cumsum(first) - 1]
+    # stacks in sample order, so that each sample's rows are gathered from near its own
+    longest, stack = np.unique(owner, return_inverse=True)
+    # node k of a stack is k * h, its last node exactly t, as np.linspace gives them
+    top, k = _layout(m[longest])
+    nodes = k * np.repeat(h[longest], m[longest] + 1)
+    nodes[top + m[longest]] = times[longest]
     a = a_matrix(n, g, det, nodes)
+    start, k = _layout(m)
+    rows = np.repeat(top[stack], m + 1) + k
     weight = np.where(k % 2, 4.0, 2.0)  # Simpson weights 1, 4, 2, 4, ..., 4, 1
     weight[start] = weight[start + m] = 1.0
     weight = weight[:, None, None]
     third = (h / 3.0)[:, None, None]
-    series = np.eye(n) - 1j * g * (third * np.add.reduceat(weight * a, start))
+
+    def simpson(stacked):  # every sample's Simpson sum over its own rows of a stacked integrand
+        rows_of = stacked.take(rows, axis=0)
+        rows_of *= weight
+        return third * np.add.reduceat(rows_of, start)
+
+    series = np.eye(n) - 1j * g * simpson(a)
     if order == 2:
-        inner = a @ _running_integral(a, h, m, start)
-        inner *= weight
-        series -= g * g * (third * np.add.reduceat(inner, start))
+        series -= g * g * simpson(a @ _running_integral(a, h[longest], m[longest], top))
     return series
 
 
@@ -163,16 +190,25 @@ def dyson_state(n: int, g: float, det: Detunings, psi0: StateVector, t,
     """Rotating-frame state exp(-i*g*t*C) * [truncated series] psi0.
 
     Each sample keeps its own Simpson nodes (m = ceil(t/q) rounded up to
-    even, h = t/m).  The nodes of all samples are stacked, A(s) is evaluated
-    on them in one call, and every sample's Simpson sums are segment sums of
-    that stack; samples are split into groups only to bound memory.
+    even, h = t/m).  Samples whose nodes are the first ones of a longer
+    sample's share its stack: A(s), its running integral and A Int A cost
+    O(sum over stacks of the longest member's nodes), and each sample's
+    gathered rows and Simpson segment sums O(its own nodes).  Samples are
+    split into batches only to bound memory.  A sample whose A(s) stack numpy
+    could not even size raises MemoryError.
 
     The result is not normalized: a truncation at order k leaves an O(g^{k+1})
     norm defect.  Lab-frame assembly is a separate step via the frame unitary.
     """
     cfg.validate(g, det)
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    m = np.maximum(2, np.ceil(times / cfg.quadrature_step).astype(int))
+    # counted as floats first: a count past the int64 range would wrap in the cast
+    count = np.ceil(times / cfg.quadrature_step)
+    stack_bytes = 16.0 * n * n * (count.max() + 2)  # the longest sample's complex A(s) stack
+    if stack_bytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate {stack_bytes:.3g} bytes for the "
+                          f"{count.max():.3g} Simpson nodes of t = {times.max():.6g}")
+    m = np.maximum(2, count.astype(int))
     m += m % 2
     series = np.empty((len(times), n, n), dtype=complex)
     per_batch = max(1, _STACK_ENTRIES // (n * n * (m.max() + 1)))

@@ -725,19 +725,27 @@ def test_exact_trajectory_is_written_without_the_fallback_formatter(tmp_path):
     assert (table == 0).any() and not slots(table.ravel())[1].any()
 
 
+def _non_finite(solver, t):
+    return {"error": "numeric", "message": f"{solver} gave a non-finite amplitude or population "
+                                           f"at t = {t}"}
+
+
 # closed forms evaluated where their floats overflow: g t past the range of exp, cos and
 # sin (exact), amplitudes whose squares overflow (dyson1), a quadrature step so small that
-# the count of its nodes overflows (dyson2)
+# the count of its nodes is past any array numpy can size (dyson2, refused before its
+# quadrature, since its series cannot overflow on fewer nodes)
 OVERFLOWING = {
-    "exact": (["--samples", "3", "--g", "1e300", "--t-max", "1e10"], "5e+09"),
-    "dyson1": (["--g", "1e308"], "0.2"),
-    "dyson2": (["--g", "1e200"], "0.2"),
+    "exact": (["--samples", "3", "--g", "1e300", "--t-max", "1e10"],
+              _non_finite("exact", "5e+09")),
+    "dyson1": (["--g", "1e308"], _non_finite("dyson1", "0.2")),
+    "dyson2": (["--g", "1e200"], {"error": "memory", "message": "Unable to allocate 5.76e+204 "
+                                  "bytes for the 4e+202 Simpson nodes of t = 20"}),
 }
 
 
 @pytest.mark.parametrize("solver", OVERFLOWING)
 def test_closed_form_run_that_overflows_exits_4_with_one_json_line(tmp_path, capsys, solver):
-    flags, t = OVERFLOWING[solver]
+    flags, record = OVERFLOWING[solver]
     cfg = write_config(tmp_path, t_max="20", samples="101")
     path = tmp_path / "traj.csv"
     with warnings.catch_warnings():
@@ -746,21 +754,20 @@ def test_closed_form_run_that_overflows_exits_4_with_one_json_line(tmp_path, cap
     assert not path.exists()
     out, err = capsys.readouterr()
     assert out == ""
-    assert json.loads(err) == {"error": "numeric", "message":
-                               f"{solver} gave a non-finite amplitude or population at t = {t}"}
+    assert json.loads(err) == record
 
 
 def test_closed_form_run_that_overflows_fails_in_a_sweep(tmp_path, capsys):
-    cfg = write_config(tmp_path, solver="dyson2", t_max="20", samples="101")
+    cfg = write_config(tmp_path, solver="dyson1", t_max="20", samples="101")
     outdir = tmp_path / "sweep"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,1e200",
+        assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,1e308",
                      "--outdir", str(outdir)]) == 4
     ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
     assert (ok["status"], failed["status"]) == ("ok", "numeric")
     assert (failed["error"], failed["file"], failed["norm_drift"]) == (
-        "dyson2 gave a non-finite amplitude or population at t = 0.2", None, None)
+        _non_finite("dyson1", 0.2)["message"], None, None)
     assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "run_000.csv"]
     assert len(capsys.readouterr().err.splitlines()) == 1
 
@@ -859,6 +866,39 @@ def test_sweep_run_that_cannot_allocate_is_recorded_in_the_manifest(tmp_path, ca
     assert len(err) == 1
     assert json.loads(err[0]) == {"error": "memory", "message":
                                   f"sweep runs [0, 1] failed; see {outdir / 'manifest.json'}"}
+
+
+# q = 0.5 on the README config with --epsilon 0.05: 2e18 and 2e19 Simpson nodes, one past
+# what numpy can size and one past the int64 range of the node count
+HUGE_T_MAX = ["1e18", "1e19"]
+
+
+@pytest.mark.parametrize("t_max", HUGE_T_MAX)
+def test_dyson2_run_too_long_to_allocate_exits_4_with_one_json_line(tmp_path, capsys, t_max):
+    cfg = write_config(tmp_path, solver="dyson2", samples="2", t_max=t_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve", cfg, "--epsilon", "0.05"]) == 4
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "memory"
+    assert doc["message"].endswith(f" Simpson nodes of t = {float(t_max):.6g}")
+
+
+def test_dyson2_sweep_too_long_to_allocate_is_recorded_in_the_manifest(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver="dyson2", samples="2")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "run.t_max", "--values", ",".join(["1.0", *HUGE_T_MAX]),
+                 "--epsilon", "0.05", "--outdir", str(outdir), "--jobs", "1"]) == 4
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert [(run["status"], run["file"]) for run in runs] == [
+        ("ok", "run_000.csv"), ("memory", None), ("memory", None)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "memory"
 
 
 def test_importing_the_cli_leaves_concurrent_futures_to_sweep():

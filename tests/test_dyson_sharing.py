@@ -80,3 +80,20 @@ def test_a_matrix_node_bits_do_not_depend_on_the_stack(coupling, left, right, da
                             a_matrix(n, g, det, np.array(right))])
     assert np.array_equal(parts, whole)
     assert np.array_equal(a_matrix(n, g, det, nodes[0]), whole[0])
+
+
+def test_dyson_detuned_grid_builds_each_shared_node_once(monkeypatch):
+    # dyson2 on the benchmark's detuned grid: every t > 0 has h = t/m = 0.05 and ends on
+    # its own node, so one stack of 201 nodes serves 20 samples; t = 0 adds its own 3
+    rows = []
+
+    def counted(n, g, det, t):
+        rows.append(np.size(t))
+        return a_matrix(n, g, det, t)
+
+    monkeypatch.setattr(dyson, "a_matrix", counted)
+    det = Detunings(3, {(0, 2): 0.4})
+    cfg = DysonConfig(order=2, quadrature_step=0.5 * max_quadrature_step(1.0, det))
+    assert cfg.quadrature_step == 0.05
+    dyson_state(3, 1.0, det, StateVector.basis(3, 0), np.linspace(0.0, 10.0, 21), cfg)
+    assert sum(rows) == 204
