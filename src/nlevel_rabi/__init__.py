@@ -18,7 +18,8 @@ from .model import (
     rotating_frame,
     transformed_hamiltonian,
 )
-from .spectral import SpectralDecomp, char_poly, coupling_matrix, decompose, exp_c, exp_c3
+from .spectral import (SpectralDecomp, char_poly, coupling_matrix, decompose, exp_c,
+                       exp_c_components, exp_c3)
 from .exact import (
     ConsistencyError,
     ConsistencyReport,

@@ -50,14 +50,6 @@ class DysonConfig:
         if not self.quadrature_step > 0:
             raise ConfigError("quadrature step must be positive")
 
-    def validate(self, g: float, det: Detunings):
-        bound = max_quadrature_step(g, det)
-        if self.quadrature_step > bound:
-            raise ConfigError(
-                f"quadrature step {self.quadrature_step:g} too coarse; "
-                f"need <= {bound:g} to resolve both oscillation scales"
-            )
-
 
 def max_quadrature_step(g: float, det: Detunings) -> float:
     """Largest step resolving both the g and the detuning oscillations."""
@@ -149,13 +141,10 @@ def _series(n: int, g: float, det: Detunings, times: np.ndarray, m: np.ndarray,
     any stack, so every sample's Simpson sums are those of its solo call.
     """
     h = times / m
-    shared = m * h == times
-    by_h = np.lexsort((m, h, ~shared))  # shared samples first, by h, each h by m
-    hs = h[by_h]
-    first = np.ones(len(times), dtype=bool)  # first sample of its stack, in by_h order
-    first[1:] = (hs[1:] != hs[:-1]) | ~shared[by_h][1:]
-    owner = np.empty_like(m)  # the longest sample of each sample's stack
-    owner[by_h] = by_h[np.append(first[1:], True)][np.cumsum(first) - 1]
+    # stack key: h where m*h is t, else -1 - index (a stack of its own; h >= 0 keeps them apart)
+    key = np.where((m * h == times) & (h >= 0), h, -1.0 - np.arange(len(times)))
+    _, group, size = np.unique(key, return_inverse=True, return_counts=True)
+    owner = np.lexsort((m, group))[np.cumsum(size) - 1][group]  # the longest of each one's stack
     # stacks in sample order, so that each sample's rows are gathered from near its own
     longest, stack = np.unique(owner, return_inverse=True)
     # node k of a stack is k * h, its last node exactly t, as np.linspace gives them
@@ -200,7 +189,10 @@ def dyson_state(n: int, g: float, det: Detunings, psi0: StateVector, t,
     The result is not normalized: a truncation at order k leaves an O(g^{k+1})
     norm defect.  Lab-frame assembly is a separate step via the frame unitary.
     """
-    cfg.validate(g, det)
+    bound = max_quadrature_step(g, det)
+    if cfg.quadrature_step > bound:
+        raise ConfigError(f"quadrature step {cfg.quadrature_step:g} too coarse; "
+                          f"need <= {bound:g} to resolve both oscillation scales")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     # counted as floats first: a count past the int64 range would wrap in the cast
     count = np.ceil(times / cfg.quadrature_step)

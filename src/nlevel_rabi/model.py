@@ -92,8 +92,8 @@ class LevelSpec:
 class DriveSpec:
     """External fields: one positive frequency per level pair, coupling g > 0.
 
-    ``omega`` maps each ordered pair (i, j), i < j, to its drive frequency.
-    The adjacent frequencies omega_k = omega[(k-1, k)] set the rotating frame;
+    ``omega`` maps each ordered pair (i, j), i < j, to its drive frequency, in ``_pairs``
+    order.  The adjacent frequencies omega_k = omega[(k-1, k)] set the rotating frame;
     the non-adjacent ones control the detunings.
     """
 
@@ -114,7 +114,7 @@ class DriveSpec:
             )
         if not all(0 < w < np.inf for w in om.values()):
             raise ConfigError("drive frequencies must be positive and finite")
-        object.__setattr__(self, "omega", om)
+        object.__setattr__(self, "omega", dict(sorted(om.items())))
 
     @property
     def adjacent(self) -> np.ndarray:
@@ -227,27 +227,30 @@ def _hermitian(diag: np.ndarray, upper) -> np.ndarray:
     return m.reshape(upper.shape[:-1] + (n, n))
 
 
-def _pair_frequencies(drive: DriveSpec) -> np.ndarray:
-    """omega_ij in ``_pairs`` order."""
-    return np.array([drive.omega[ij] for ij in _pairs(drive.n)])
+def _pair_drive(name: str, levels: LevelSpec, drive: DriveSpec, rwa: bool, frame, rates, wave):
+    """H(t): deltas - frame on the diagonal, g * wave(rates * t) on each pair in ``_pairs`` order.
+
+    ``frame`` (0.0 in the lab) is subtracted once the drive is known to fit ``levels``;
+    ``name``, the caller's, heads the refusal of a drive whose kind is not ``rwa``.
+    """
+    if levels.n != drive.n:
+        raise ConfigError("level count and drive dimension disagree")
+    if drive.rwa != rwa:
+        raise ConfigError(f"{name} requires {'an RWA drive' if rwa else 'rwa=False'}")
+    diag, g = levels.deltas - frame, drive.g
+    return lambda t: _hermitian(diag, g * wave(np.multiply.outer(t, rates)))
 
 
 def full_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
-    """Lab-frame RWA Hamiltonian H(t) = H0 + g*V(t)."""
-    _check_match(levels, drive)
-    if not drive.rwa:
-        raise ConfigError("full_hamiltonian requires an RWA drive")
-    diag, iw, g = levels.deltas, 1j * _pair_frequencies(drive), drive.g
-    return lambda t: _hermitian(diag, g * np.exp(np.multiply.outer(t, iw)))
+    """Lab-frame RWA Hamiltonian H(t) = H0 + g*V(t): g*exp(i*omega_ij*t) on each pair."""
+    return _pair_drive("full_hamiltonian", levels, drive, True, 0.0,
+                       1j * np.fromiter(drive.omega.values(), float), np.exp)
 
 
 def full_hamiltonian_nonrwa(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
     """Lab-frame cosine-drive Hamiltonian: off-diagonals g*cos(omega_ij*t)."""
-    _check_match(levels, drive)
-    if drive.rwa:
-        raise ConfigError("full_hamiltonian_nonrwa requires rwa=False")
-    diag, w, g = levels.deltas, _pair_frequencies(drive), drive.g
-    return lambda t: _hermitian(diag, g * np.cos(np.multiply.outer(t, w)))
+    return _pair_drive("full_hamiltonian_nonrwa", levels, drive, False, 0.0,
+                       np.fromiter(drive.omega.values(), float), np.cos)
 
 
 def rotating_frame_phases(drive: DriveSpec) -> np.ndarray:
@@ -282,12 +285,8 @@ def transformed_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianF
 
     Diagonal D_k = delta_k - (omega_1 + ... + omega_k); g * exp(i*eps_ij*t) on each pair.
     """
-    _check_match(levels, drive)
-    if not drive.rwa:
-        raise ConfigError("transformed_hamiltonian requires an RWA drive")
-    diag = levels.deltas - rotating_frame_phases(drive)
-    ieps, g = 1j * _pair_detunings(drive), drive.g
-    return lambda t: _hermitian(diag, g * np.exp(np.multiply.outer(t, ieps)))
+    return _pair_drive("transformed_hamiltonian", levels, drive, True,
+                       rotating_frame_phases(drive), 1j * _pair_detunings(drive), np.exp)
 
 
 def apply_resonance(levels: LevelSpec, g: float, *, rwa: bool = True,
@@ -325,8 +324,3 @@ def residual_coupling(det: Detunings, t) -> np.ndarray:
         r[..., i, j] = phase
         r[..., j, i] = phase.conj()
     return r
-
-
-def _check_match(levels: LevelSpec, drive: DriveSpec):
-    if levels.n != drive.n:
-        raise ConfigError("level count and drive dimension disagree")

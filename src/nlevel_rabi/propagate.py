@@ -136,7 +136,9 @@ class Trajectory:
                     fh.write(f',\n  "{key}": []')
                     continue
                 fh.write(f',\n  "{key}": [\n')
-                _write_rows(write, table, line, sep=",\n")
+                for lo in range(0, len(table), 256):  # 256 rows at a time bound the text held
+                    text = ",\n".join([line % tuple(row) for row in table[lo : lo + 256].tolist()])
+                    write(",\n" + text if lo else text)
                 fh.write("\n  ]")
             fh.write("\n}\n")
 
@@ -144,16 +146,6 @@ class Trajectory:
 def _opened(target):
     """``target`` if it is an open text stream, else the file at path ``target`` opened to write."""
     return contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "w")
-
-
-def _write_rows(write, table, line, sep):
-    """write ``line % row`` for each row of ``table``, with ``sep`` between rows.
-
-    Rows are formatted 256 at a time, which bounds the text held in memory.
-    """
-    for start in range(0, len(table), 256):
-        text = sep.join([line % tuple(row) for row in table[start : start + 256].tolist()])
-        write(sep + text if start else text)
 
 
 def _chunk_length(runs: int, n: int) -> int:

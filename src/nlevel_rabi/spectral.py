@@ -4,8 +4,8 @@ C is the n x n 0/1 tridiagonal matrix of nearest-level couplings.  Its
 eigenvalues are lambda_j = 2*cos(pi*j/(n+1)) for j = 1..n (decreasing), with
 the real orthogonal sine eigenbasis O_jk = sqrt(2/(n+1)) * sin(pi*j*k/(n+1)).
 The propagator exp(-i*g*t*C) follows in closed form; two independent
-evaluation paths (eigenbasis sandwich and the explicit component sum) are
-kept so each can validate the other.
+evaluation paths (the eigenbasis sandwich ``exp_c`` and the explicit component
+sum ``exp_c_components``) are kept so each can validate the other.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "eigenvalues",
     "decompose",
     "exp_c",
+    "exp_c_components",
     "exp_c3",
 ]
 
@@ -85,24 +86,23 @@ def decompose(n: int) -> SpectralDecomp:
     return SpectralDecomp(n=n, eigenvalues=eigenvalues(n), basis=o)
 
 
-def exp_c(n: int, g: float, t, method: str = "eigen") -> np.ndarray:
-    """The unitary exp(-i*g*t*C); a 1-D ``t`` gives a stack (len(t), n, n).
+def exp_c(n: int, g: float, t) -> np.ndarray:
+    """The unitary exp(-i*g*t*C) = O exp(-i*g*t*D) O^T; a 1-D ``t`` gives a stack (len(t), n, n)."""
+    _check_n(n)
+    dec = decompose(n)
+    phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), dec.eigenvalues))
+    x = dec.basis * phase[..., None, :]
+    return (x.reshape(-1, n) @ dec.basis.T).reshape(x.shape)  # one 2-D product, not a stack
 
-    ``method="eigen"`` computes O exp(-i*g*t*D) O^T; ``method="components"``
-    evaluates the explicit component sum
+
+def exp_c_components(n: int, g: float, t) -> np.ndarray:
+    """exp(-i*g*t*C) by the explicit component sum, the route that checks ``exp_c``:
     (2/(n+1)) * sum_l exp(-2i*g*t*cos(pi*l/(n+1))) sin(pi*j*l/(n+1)) sin(pi*k*l/(n+1)).
     """
     _check_n(n)
-    if method == "eigen":
-        dec = decompose(n)
-        phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), dec.eigenvalues))
-        x = dec.basis * phase[..., None, :]
-        return (x.reshape(-1, n) @ dec.basis.T).reshape(x.shape)  # one 2-D product, not a stack
-    if method == "components":
-        s = np.sin(_sine_args(n))
-        phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), eigenvalues(n)))
-        return (2.0 / (n + 1)) * np.einsum("jl,...l,kl->...jk", s, phase, s)
-    raise ValueError(f"unknown method {method!r}")
+    s = np.sin(_sine_args(n))
+    phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), eigenvalues(n)))
+    return (2.0 / (n + 1)) * np.einsum("jl,...l,kl->...jk", s, phase, s)
 
 
 def exp_c3(g: float, t: float) -> np.ndarray:

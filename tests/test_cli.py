@@ -231,6 +231,9 @@ def test_run_config_validation():
         with pytest.raises(ConfigError, match="unit norm"):
             RunConfig(energies=(0.0, 1.0), g=0.1, omega={(0, 1): 1.0}, solver="exact",
                       t_max=1.0, samples=3, initial=initial)
+    with pytest.raises(ConfigError, match="^initial state must have 3 amplitudes$"):
+        RunConfig(energies=(0.0, 1.0, 2.0), g=0.1, omega={(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0},
+                  solver="exact", t_max=1.0, samples=3, initial=(1.0, 0.0))
 
 
 @pytest.mark.parametrize("solvers", ["exact,numeric-rwa,dyson1", "exact"])
@@ -472,6 +475,16 @@ REFUSED = {
     "compare-output-missing-dir": (["compare", "{cfg}", "--solvers", "exact,numeric-rwa",
                                     "--output", "{out}/r.json"], {}),
     "sweep-outdir-is-a-file": (SWEEP[:-1] + ["{cfg}"], {}),
+    # initial states that do not fit the run, and a ground-state-only solver from level 1
+    "initial-index-out-of-range": (["evolve", "{cfg}", "--initial", "7"], {}),
+    "initial-list-too-short": (["evolve", "{cfg}", "--initial", "1, 0"], {}),
+    "dyson1-not-from-ground": (["evolve", "{cfg}", "--solver", "dyson1", "--initial", "1"], {}),
+    # a file without t_max, an unknown frequencies mode, and --epsilon on a 4-level ladder
+    "no-t-max": (["evolve", "{cfg}"], "[levels]\nenergies = 0.0, 1.0, 2.0\n[drive]\ng = 0.1\n"
+                                      "[run]\nsolver = exact\n"),
+    "frequencies-bogus": (["evolve", "{cfg}"], {"frequencies": "bogus"}),
+    "epsilon-n-4": (["evolve", "{cfg}", "--epsilon", "0.1"], {"energies": "0.0, 1.0, 2.0, 3.0"}),
+    "output-is-a-directory": (["evolve", "{cfg}", "--output", "."], {}),
     # a sweep with no values, refused before --outdir is made
     **{f"sweep-values-{name}": (SWEEP[:5] + [values] + SWEEP[6:], {})
        for name, values in [("empty", ""), ("comma", ","), ("space", " ")]},

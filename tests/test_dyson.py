@@ -14,6 +14,7 @@ from nlevel_rabi.exact import exp_q
 from nlevel_rabi.model import (
     ConfigError,
     Detunings,
+    DriveSpec,
     LevelSpec,
     StateVector,
     apply_resonance,
@@ -222,6 +223,9 @@ def test_approximate_solution_requirements():
     np.testing.assert_allclose(approximate_solution_3(lev, drive, 0.0), [1, 0, 0], atol=1e-15)
     with pytest.raises(ConfigError):
         approximate_solution_3(LevelSpec((0.0, 1.0)), apply_resonance(LevelSpec((0.0, 1.0)), 0.05), 1.0)
+    off_resonance = DriveSpec(n=3, omega={(0, 1): 1.1, (1, 2): 1.0, (0, 2): 2.1}, g=0.05)
+    with pytest.raises(ConfigError, match="^first-order solution requires the resonance"):
+        approximate_solution_3(lev, off_resonance, 1.0)
 
 
 def test_approximate_solution_phases():

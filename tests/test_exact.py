@@ -55,6 +55,11 @@ def test_check_consistency_needs_positive_tol():
         check_consistency(Detunings(3, {(0, 2): 0.0}), tol=0.0)
 
 
+def test_exp_q_needs_two_levels():
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
+        exp_q(1, 0.1, 1.0)
+
+
 def test_exp_q_identity_at_zero():
     for n in (2, 3, 6):
         np.testing.assert_allclose(exp_q(n, 0.7, 0.0), np.eye(n), atol=1e-15)

@@ -78,13 +78,27 @@ def test_dyson_grid_matches_scalar_calls(n, det, order):
 def test_dyson_split_node_batches_match_one_batch(monkeypatch):
     det = Detunings(3, {(0, 2): 0.5})
     cfg = DysonConfig(order=2, quadrature_step=0.05)
-    grid = np.linspace(0.0, 6.0, 13)
+    # the linspace samples with t > 0 share one stack (h = 0.05).  0.33, 1.7 and 4.01 have
+    # steps h of their own, and 0.21's last node m*h misses t, so each of these is a stack
+    # of its own; the batches split between shared stacks and samples of their own
+    grid = np.sort(np.concatenate((np.linspace(0.0, 6.0, 13), [0.21, 0.33, 1.7, 4.01])))
     psi0 = StateVector.basis(3, 0)
     whole = dyson_state(3, 0.3, det, psi0, grid, cfg)
     # 9 entries per node and at most 121 nodes per sample: groups of two samples
     monkeypatch.setattr(dyson, "_STACK_ENTRIES", 9 * 2 * 121)
     split = dyson_state(3, 0.3, det, psi0, grid, cfg)
-    assert np.max(np.abs(whole - split)) < TOL
+    assert np.array_equal(whole, split)
+
+
+def test_dyson_negative_time_is_not_merged_with_a_sample_of_its_own():
+    # t = -2 has h = -1, the stack key that sample 0 (0.21, whose last node m*h misses t)
+    # would take as a sample of its own, were negative steps not kept apart
+    det = Detunings(3, {(0, 2): 0.5})
+    cfg = DysonConfig(order=2, quadrature_step=0.05)
+    grid = np.array([0.21, -2.0])
+    psi0 = StateVector.basis(3, 0)
+    got = dyson_state(3, 0.3, det, psi0, grid, cfg)
+    assert np.array_equal(got, np.stack([dyson_state(3, 0.3, det, psi0, t, cfg) for t in grid]))
 
 
 def _loop_cumulative_simpson(values, h):

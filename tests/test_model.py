@@ -46,6 +46,13 @@ def test_drive_spec_validates():
         DriveSpec(n=3, omega={(0, 1): 1.0}, g=0.1)  # missing pairs
     with pytest.raises(ConfigError):
         DriveSpec(n=2, omega={(0, 1): -1.0}, g=0.1)
+    with pytest.raises(ConfigError, match="^need at least two levels$"):
+        DriveSpec(n=1, omega={}, g=0.1)
+
+
+def test_state_vector_must_be_one_dimensional():
+    with pytest.raises(ConfigError, match="^state must be a vector of length >= 2$"):
+        StateVector(np.eye(2))
 
 
 def test_state_vector_norm_check():
@@ -195,6 +202,28 @@ def test_mode_flags_enforced():
         full_hamiltonian(lev, apply_resonance(lev, g=0.1, rwa=False))
     with pytest.raises(ConfigError):
         full_hamiltonian_nonrwa(lev, apply_resonance(lev, g=0.1, rwa=True))
+    # each factory's two refusals and their texts; the level count is checked first
+    lev3 = LevelSpec((0.0, 1.0, 2.5))
+    for factory, rwa, kind in [(full_hamiltonian, True, "an RWA drive"),
+                               (full_hamiltonian_nonrwa, False, "rwa=False"),
+                               (transformed_hamiltonian, True, "an RWA drive")]:
+        for levels, other in ((lev, lev3), (lev3, lev)):
+            for drive_rwa in (rwa, not rwa):
+                with pytest.raises(ConfigError) as exc:
+                    factory(levels, apply_resonance(other, g=0.1, rwa=drive_rwa))
+                assert str(exc.value) == "level count and drive dimension disagree"
+            with pytest.raises(ConfigError) as exc:
+                factory(levels, apply_resonance(levels, g=0.1, rwa=not rwa))
+            assert str(exc.value) == f"{factory.__name__} requires {kind}"
+
+
+def test_drive_omega_is_held_in_pair_order():
+    # the lab-frame factories read the pair rates in this order
+    drive = DriveSpec(n=3, omega={(1, 2): 1.0, (0, 2): 2.1, (0, 1): 1.2}, g=0.1)
+    assert list(drive.omega) == [(0, 1), (0, 2), (1, 2)]
+    h = full_hamiltonian(LevelSpec((0.0, 1.0, 2.0)), drive)(0.3)
+    for (i, j), w in {(1, 2): 1.0, (0, 2): 2.1, (0, 1): 1.2}.items():
+        assert h[i, j] == pytest.approx(0.1 * np.exp(1j * w * 0.3), abs=1e-16)
 
 
 def test_rotating_frame_identity_and_unitarity():

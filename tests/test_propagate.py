@@ -162,6 +162,17 @@ def test_expm_vs_exp_c():
             )
 
 
+@pytest.mark.parametrize("m, message", [
+    (np.ones((2, 3)), "expm_generic needs a square matrix"),
+    (np.ones(3), "expm_generic needs a square matrix"),
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), "matrix entries must be finite"),
+    (np.array([[np.inf, 0.0], [0.0, 0.0]]), "matrix entries must be finite"),
+])
+def test_expm_refuses_a_non_square_or_non_finite_matrix(m, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        expm_generic(m)
+
+
 def test_expm_range_error():
     with pytest.raises(NormRangeError):
         expm_generic(100.0 * np.eye(2))

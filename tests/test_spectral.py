@@ -11,6 +11,7 @@ from nlevel_rabi.spectral import (
     eigenvalues,
     exp_c,
     exp_c3,
+    exp_c_components,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -89,7 +90,7 @@ def test_exp_c3_matches_exp_c_and_components():
         g, t = rng.uniform(0.01, 2.0), rng.uniform(0.0, 25.0)
         m3 = exp_c3(g, t)
         assert np.max(np.abs(m3 - exp_c(3, g, t))) < 1e-13
-        assert np.max(np.abs(m3 - exp_c(3, g, t, method="components"))) < 1e-13
+        assert np.max(np.abs(m3 - exp_c_components(3, g, t))) < 1e-13
 
 
 def test_exp_c3_special_angle():
@@ -158,7 +159,7 @@ def test_exp_c_methods_agree():
         for _ in range(10):
             g, t = rng.uniform(0.01, 2), rng.uniform(0, 20)
             a = exp_c(n, g, t)
-            b = exp_c(n, g, t, method="components")
+            b = exp_c_components(n, g, t)
             assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -166,6 +167,6 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         exp_c(1, 0.1, 1.0)
     with pytest.raises(ValueError):
-        exp_c(3, 0.1, 1.0, method="magic")
+        exp_c_components(1, 0.1, 1.0)
     with pytest.raises(ValueError):
         char_poly(1, 0.5)
