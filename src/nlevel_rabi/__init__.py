@@ -22,7 +22,6 @@ from .spectral import (SpectralDecomp, char_poly, coupling_matrix, decompose, ex
                        exp_c_components, exp_c3)
 from .exact import (
     ConsistencyError,
-    ConsistencyReport,
     check_consistency,
     exact_evolution,
     exp_q,

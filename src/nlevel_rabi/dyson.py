@@ -54,7 +54,7 @@ class DysonConfig:
 def max_quadrature_step(g: float, det: Detunings) -> float:
     """Largest step resolving both the g and the detuning oscillations."""
     bound = 1.0 / (10.0 * g)
-    eps_max = det.max_abs()
+    eps_max = max((abs(v) for v in det.eps.values()), default=0.0)
     if eps_max > 0:
         bound = min(bound, 2.0 * np.pi / (10.0 * eps_max))
     return bound
@@ -79,8 +79,8 @@ def a_matrix(n: int, g: float, det: Detunings, t) -> np.ndarray:
     return np.moveaxis(x.reshape(n, -1, n), 0, 1).reshape(np.shape(t) + (n, n))
 
 
-def a_matrix_3(g: float, eps: float, t: float) -> np.ndarray:
-    """Closed-form 3x3 A(t): nine transcribed trigonometric entries over 2."""
+def a_matrix_3(g: float, eps: float, t) -> np.ndarray:
+    """Closed-form 3x3 A(t): nine transcribed trigonometric entries over 2; t.shape + (3, 3)."""
     c = np.cos(_SQRT2 * g * t)
     s = np.sin(_SQRT2 * g * t)
     ce = np.cos(eps * t)
@@ -94,7 +94,8 @@ def a_matrix_3(g: float, eps: float, t: float) -> np.ndarray:
     a31 = (1.0 + c * c) * ce - 2j * c * se
     a32 = -_SQRT2 * s * se - 1j * _SQRT2 * s * c * ce
     a33 = -(s * s) * ce
-    return 0.5 * np.array([[a11, a12, a13], [a21, a22, a23], [a31, a32, a33]])
+    return np.moveaxis(0.5 * np.array([[a11, a12, a13], [a21, a22, a23], [a31, a32, a33]]),
+                       (0, 1), (-2, -1))
 
 
 def _running_integral(a: np.ndarray, h: np.ndarray, m: np.ndarray,

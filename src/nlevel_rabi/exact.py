@@ -11,13 +11,10 @@ so the lab-frame solution is Psi(t) = U(t)† exp(-i*g*t*Q) Psi(0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
     ConfigError,
-    Detunings,
     DriveSpec,
     LevelSpec,
     StateVector,
@@ -28,52 +25,34 @@ from .model import (
 )
 
 __all__ = [
-    "ConsistencyReport",
     "ConsistencyError",
     "check_consistency",
-    "default_consistency_tol",
     "exp_q",
     "exact_evolution",
 ]
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Which detunings, if any, exceed the tolerance."""
-
-    violations: tuple = ()
-
-    @property
-    def satisfied(self) -> bool:
-        return not self.violations
-
-
 class ConsistencyError(ConfigError):
     """Raised when the exact solver is asked for a detuned configuration.
 
-    Carries the report; callers should fall back to the Dyson or numeric
-    solvers.
+    ``violations`` holds the offending (pair, eps) pairs; callers should fall
+    back to the Dyson or numeric solvers.
     """
 
-    def __init__(self, report: ConsistencyReport):
-        self.report = report
-        pairs = ", ".join(f"eps{ij}={v:.3g}" for ij, v in report.violations)
+    def __init__(self, violations: tuple):
+        self.violations = violations
+        pairs = ", ".join(f"eps{ij}={v:.3g}" for ij, v in violations)
         super().__init__(f"consistency condition violated: {pairs}")
 
 
-def check_consistency(det: Detunings, tol: float) -> ConsistencyReport:
-    """Report every pair with |eps_ij| > tol."""
-    if not tol > 0:
-        raise ConfigError("tolerance must be positive")
-    violations = tuple(
-        (ij, v) for ij, v in sorted(det.eps.items()) if abs(v) > tol
-    )
-    return ConsistencyReport(violations)
+def check_consistency(drive: DriveSpec) -> tuple:
+    """The (pair, eps) pairs, in pair order, with |eps_ij| > 1e-9 * max omega.
 
-
-def default_consistency_tol(drive: DriveSpec) -> float:
-    """Separates deliberate detuning from float noise in user configs."""
-    return 1e-9 * max(drive.omega.values())
+    Empty when the consistency condition holds.  The tolerance separates
+    deliberate detuning from float noise in user configs.
+    """
+    tol = 1e-9 * max(drive.omega.values())
+    return tuple((ij, v) for ij, v in detunings(drive).eps.items() if abs(v) > tol)
 
 
 def exp_q(n: int, g: float, t: float) -> np.ndarray:
@@ -91,14 +70,14 @@ def exact_evolution(levels: LevelSpec, drive: DriveSpec, psi0: StateVector, t):
     ``t`` a StateVector.  Neither matrix is formed: exp(-i*g*t*Q) psi0 is
     e^{i*g*t} (psi0 + (e^{-i*n*g*t} - 1)/n * sum(psi0)), U(t)† is a phase.
 
-    Requires the resonance conditions and the consistency condition; detuned
-    configurations raise ConsistencyError with the offending pairs.
+    Requires the resonance conditions and the consistency condition; a detuned
+    drive raises ConsistencyError carrying its violations.
     """
     if not is_resonant(levels, drive):
         raise ConfigError("exact evolution requires omega_j = E_j - E_{j-1}")
-    report = check_consistency(detunings(drive), default_consistency_tol(drive))
-    if not report.satisfied:
-        raise ConsistencyError(report)
+    violations = check_consistency(drive)
+    if violations:
+        raise ConsistencyError(violations)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     coef = (np.exp(-1j * drive.n * drive.g * times) - 1.0) / drive.n
     rot = np.exp(1j * drive.g * times)[:, None] * (psi0.amp + (coef * psi0.amp.sum())[:, None])

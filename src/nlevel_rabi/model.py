@@ -134,9 +134,6 @@ class Detunings:
             self, "eps", {(int(i), int(j)): float(v) for (i, j), v in dict(self.eps).items()}
         )
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.eps.values()), default=0.0)
-
 
 _NORM_TOL = 1e-12
 
@@ -258,9 +255,16 @@ def rotating_frame_phases(drive: DriveSpec) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(drive.adjacent)))
 
 
-def rotating_frame(drive: DriveSpec, t: float) -> np.ndarray:
-    """Diagonal frame unitary U(t) = diag(1, e^{i*omega_1*t}, e^{i(omega_1+omega_2)t}, ...)."""
-    return np.diag(np.exp(1j * np.multiply.outer(t, rotating_frame_phases(drive))))
+def rotating_frame(drive: DriveSpec, t) -> np.ndarray:
+    """Diagonal frame unitary U(t) = diag(1, e^{i*omega_1*t}, e^{i(omega_1+omega_2)t}, ...).
+
+    One n x n matrix per time: shape t.shape + (n, n).
+    """
+    phases = np.exp(1j * np.multiply.outer(t, rotating_frame_phases(drive)))
+    u = np.zeros(phases.shape + (drive.n,), dtype=complex)  # zeros, not phases * I: no -0.0
+    k = np.arange(drive.n)
+    u[..., k, k] = phases
+    return u
 
 
 def to_lab_frame(drive: DriveSpec, t, states) -> np.ndarray:

@@ -115,7 +115,8 @@ class Trajectory:
         The text is ``json.dump(doc, fh, indent=2)`` and a newline, byte for byte,
         where doc holds ``config`` (``{}`` if None), ``times``, ``states`` as
         [re, im] pairs and ``populations``.  Each section's rows are written from
-        one ``%r`` template.
+        one ``%r`` template, with json's spelling of repr's nan, inf and -inf (no
+        finite repr holds these letters).
         """
         pops = self.populations
         levels = lambda item: "    [\n" + ",\n".join([item] * self.n) + "\n    ]"
@@ -126,10 +127,6 @@ class Trajectory:
         # the config block at the depth it has in doc; json.dumps indents by depth alone
         head = json.dumps({"config": config or {}}, indent=2)[: -len("\n}")]
         with _opened(target) as fh:
-            write = fh.write
-            if not (np.isfinite(self.times).all() and np.isfinite(pops).all()):
-                # json's spelling of repr's nan, inf and -inf; no finite repr holds these letters
-                write = lambda text: fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
             fh.write(head)
             for key, table, line in sections:
                 if not len(table):
@@ -138,7 +135,8 @@ class Trajectory:
                 fh.write(f',\n  "{key}": [\n')
                 for lo in range(0, len(table), 256):  # 256 rows at a time bound the text held
                     text = ",\n".join([line % tuple(row) for row in table[lo : lo + 256].tolist()])
-                    write(",\n" + text if lo else text)
+                    text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                    fh.write(",\n" + text if lo else text)
                 fh.write("\n  ]")
             fh.write("\n}\n")
 
@@ -383,9 +381,7 @@ class DeviationReport:
 
 def compare(traj_a: Trajectory, traj_b: Trajectory) -> DeviationReport:
     """Deviation report for two trajectories on the same time grid."""
-    if traj_a.times.shape != traj_b.times.shape or not np.array_equal(
-        traj_a.times, traj_b.times
-    ):
+    if not np.array_equal(traj_a.times, traj_b.times):  # False too when the shapes differ
         raise ConfigError("trajectories must share an identical time grid")
     a, b = traj_a.states, traj_b.states
     overlap = np.einsum("ij,ij->i", b.conj(), a)

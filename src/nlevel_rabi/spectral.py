@@ -88,8 +88,7 @@ def decompose(n: int) -> SpectralDecomp:
 
 def exp_c(n: int, g: float, t) -> np.ndarray:
     """The unitary exp(-i*g*t*C) = O exp(-i*g*t*D) O^T; a 1-D ``t`` gives a stack (len(t), n, n)."""
-    _check_n(n)
-    dec = decompose(n)
+    dec = decompose(n)  # checks n
     phase = np.exp(np.multiply.outer(-1j * g * np.asarray(t), dec.eigenvalues))
     x = dec.basis * phase[..., None, :]
     return (x.reshape(-1, n) @ dec.basis.T).reshape(x.shape)  # one 2-D product, not a stack
@@ -105,18 +104,13 @@ def exp_c_components(n: int, g: float, t) -> np.ndarray:
     return (2.0 / (n + 1)) * np.einsum("jl,...l,kl->...jk", s, phase, s)
 
 
-def exp_c3(g: float, t: float) -> np.ndarray:
-    """Hard-coded 3x3 closed form of exp(-i*g*t*C)."""
+def exp_c3(g: float, t) -> np.ndarray:
+    """Hard-coded 3x3 closed form of exp(-i*g*t*C); t.shape + (3, 3)."""
     c = np.cos(_SQRT2 * g * t)
     s = np.sin(_SQRT2 * g * t)
     off = -1j * _SQRT2 * s
-    return 0.5 * np.array(
-        [
-            [1.0 + c, off, -1.0 + c],
-            [off, 2.0 * c, off],
-            [-1.0 + c, off, 1.0 + c],
-        ]
-    )
+    m = 0.5 * np.array([[1.0 + c, off, -1.0 + c], [off, 2.0 * c, off], [-1.0 + c, off, 1.0 + c]])
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def _check_n(n: int):

@@ -92,6 +92,18 @@ def test_epsilon_flag_detunes(tmp_path):
     assert main(["exact-check", cfg]) == 0
 
 
+def test_exact_check_and_exact_evolve_share_one_tolerance(tmp_path, capsys):
+    # README ladder: max omega = 2, so the consistency tolerance is 1e-9 * 2 = 2e-9
+    cfg = write_config(tmp_path, energies="0.0, 1.0, 2.0", t_max="20.0")
+    for eps, code in (("1.8e-9", 0), ("2.2e-9", 3)):
+        assert main(["exact-check", cfg, "--epsilon", eps]) == code
+        assert json.loads(capsys.readouterr().out)["satisfied"] is (code == 0)
+        assert main(["evolve", cfg, "--solver", "exact", "--epsilon", eps]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        if code:
+            assert json.loads(err[-1])["error"] == "consistency"
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[levels]\nenergies = 2.0, 1.0\n[drive]\ng = 0.1\n[run]\nt_max = 1\n")

@@ -3,56 +3,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlevel_rabi.exact import (
-    ConsistencyError,
-    ConsistencyReport,
-    check_consistency,
-    default_consistency_tol,
-    exact_evolution,
-    exp_q,
-)
+from nlevel_rabi.exact import ConsistencyError, check_consistency, exact_evolution, exp_q
 from nlevel_rabi.model import (
     ConfigError,
-    Detunings,
+    DriveSpec,
     LevelSpec,
     StateVector,
     apply_resonance,
-    detunings,
     full_hamiltonian,
 )
 from nlevel_rabi.propagate import IntegratorConfig, expm_generic, integrate, integrate_stack
 
 
 def test_check_consistency_satisfied():
-    lev = LevelSpec((0.0, 1.0, 2.0))
-    det = detunings(apply_resonance(lev, g=0.1))
-    report = check_consistency(det, tol=1e-12)
-    assert report.satisfied and not report.violations
-
-
-def test_consistency_report_satisfied_follows_violations():
-    assert ConsistencyReport().satisfied
-    assert not ConsistencyReport(violations=(((0, 2), 0.5),)).satisfied
+    assert check_consistency(apply_resonance(LevelSpec((0.0, 1.0, 2.0)), g=0.1)) == ()
 
 
 def test_check_consistency_violation():
     lev = LevelSpec((0.0, 1.0, 2.0))
-    det = detunings(apply_resonance(lev, g=0.1, nonadjacent={(0, 2): 2.1}))
-    report = check_consistency(det, tol=1e-12)
-    assert not report.satisfied
-    ((pair, eps),) = report.violations
+    ((pair, eps),) = check_consistency(apply_resonance(lev, g=0.1, nonadjacent={(0, 2): 2.1}))
     assert pair == (0, 2)
     assert eps == pytest.approx(0.1)
 
 
 def test_check_consistency_two_level_vacuous():
-    det = detunings(apply_resonance(LevelSpec((0.0, 1.0)), g=0.1))
-    assert check_consistency(det, tol=1e-12).satisfied
+    assert check_consistency(apply_resonance(LevelSpec((0.0, 1.0)), g=0.1)) == ()
 
 
-def test_check_consistency_needs_positive_tol():
-    with pytest.raises(ConfigError):
-        check_consistency(Detunings(3, {(0, 2): 0.0}), tol=0.0)
+def test_check_consistency_lists_the_violating_pairs_in_pair_order():
+    lev = LevelSpec((0.0, 1.0, 2.5, 4.0))
+    drive = apply_resonance(lev, g=0.2, nonadjacent={(1, 3): 3.2, (0, 2): 2.6})
+    assert [pair for pair, _ in check_consistency(drive)] == [(0, 2), (1, 3)]
 
 
 def test_exp_q_needs_two_levels():
@@ -173,12 +154,11 @@ def test_exact_evolution_rejects_detuned_config():
     drive = apply_resonance(lev, g=0.1, nonadjacent={(0, 2): 2.1})
     with pytest.raises(ConsistencyError) as exc:
         exact_evolution(lev, drive, StateVector.basis(3, 0), 1.0)
-    assert exc.value.report.violations[0][0] == (0, 2)
+    assert exc.value.violations == check_consistency(drive)
+    assert exc.value.violations[0][0] == (0, 2)
 
 
 def test_exact_evolution_rejects_off_resonance():
-    from nlevel_rabi.model import DriveSpec
-
     lev = LevelSpec((0.0, 1.0, 2.0))
     drive = DriveSpec(n=3, omega={(0, 1): 0.8, (1, 2): 1.0, (0, 2): 1.8}, g=0.1)
     with pytest.raises(ConfigError):
@@ -186,8 +166,34 @@ def test_exact_evolution_rejects_off_resonance():
 
 
 def test_default_tolerance_tracks_frequency_scale():
-    drive = apply_resonance(LevelSpec((0.0, 10.0, 20.0)), g=0.1)
-    assert default_consistency_tol(drive) == pytest.approx(1e-9 * 20.0)
+    # at max omega = 20 the tolerance is 1e-9 * 20 = 2e-8
+    lev = LevelSpec((0.0, 10.0, 20.0))
+    drive = lambda omega_0_2: apply_resonance(lev, g=0.1, nonadjacent={(0, 2): omega_0_2})
+    assert check_consistency(drive(20 + 1.9e-8)) == ()
+    ((pair, eps),) = check_consistency(drive(20 + 2.1e-8))
+    assert pair == (0, 2) and eps == pytest.approx(2.1e-8, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_exact_evolution_refuses_exactly_the_drives_check_consistency_flags(n, data):
+    # each non-adjacent pair is on its chain sum, or off it by half or 1.5 times the
+    # 1e-9 * max omega tolerance (max omega is n - 1 here), or by a deliberate detuning
+    levels = LevelSpec(tuple(float(k) for k in range(n)))
+    scales = st.sampled_from([0.0, 0.5e-9, -0.5e-9, 1.5e-9, -1.5e-9, 1e-3, -1e-3])
+    offset = {(i, j): data.draw(scales) * (n - 1) for i in range(n) for j in range(i + 2, n)}
+    drive = apply_resonance(levels, g=0.1,
+                            nonadjacent={(i, j): j - i + off for (i, j), off in offset.items()})
+    violations = check_consistency(drive)
+    assert [ij for ij, _ in violations] == [ij for ij, off in offset.items()
+                                            if abs(off) > 1e-9 * (n - 1)]
+    psi0 = StateVector.basis(n, 0)
+    if violations:
+        with pytest.raises(ConsistencyError) as exc:
+            exact_evolution(levels, drive, psi0, np.linspace(0.0, 1.0, 3))
+        assert exc.value.violations == violations
+    else:
+        assert exact_evolution(levels, drive, psi0, np.linspace(0.0, 1.0, 3)).shape == (3, n)
 
 
 @st.composite

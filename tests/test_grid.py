@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from nlevel_rabi import dyson
-from nlevel_rabi.dyson import DysonConfig, a_matrix, approximate_solution_3, dyson_state
+from nlevel_rabi.dyson import (DysonConfig, a_matrix, a_matrix_3, approximate_solution_3,
+                               dyson_state)
 from nlevel_rabi.exact import exact_evolution
 from nlevel_rabi.model import (Detunings, LevelSpec, StateVector, apply_resonance,
-                               residual_coupling)
+                               residual_coupling, rotating_frame)
 from nlevel_rabi.propagate import Trajectory
-from nlevel_rabi.spectral import exp_c
+from nlevel_rabi.spectral import exp_c, exp_c3
 
 TOL = 1e-13
 
@@ -44,6 +45,25 @@ def test_exact_scalar_is_a_state_vector():
     lev = LevelSpec((0.0, 1.0, 2.0))
     sv = exact_evolution(lev, apply_resonance(lev, 0.1), StateVector.basis(3, 0), 1.5)
     assert isinstance(sv, StateVector)
+
+
+# the matrix-valued closed forms: a grid gives one matrix per time, t.shape + (n, n), each
+# the bits of its scalar call
+_MATRIX_FORMS = {
+    "rotating_frame": lambda t: rotating_frame(apply_resonance(LevelSpec((0.0, 1.0, 2.5, 3.1)),
+                                                               0.1), t),
+    "exp_c3": lambda t: exp_c3(0.3, t),
+    "a_matrix_3": lambda t: a_matrix_3(0.3, 0.7, t),
+}
+
+
+@pytest.mark.parametrize("name", list(_MATRIX_FORMS))
+def test_matrix_closed_form_grid_is_its_stacked_scalar_calls(name):
+    form = _MATRIX_FORMS[name]
+    grid = np.linspace(0.0, 40.0, 57)
+    got = form(grid)
+    np.testing.assert_array_equal(got, np.stack([form(t) for t in grid]))
+    assert form(grid.reshape(3, 19)).shape == (3, 19) + got.shape[1:]
 
 
 def test_approximate_solution_grid_matches_scalar_calls():
