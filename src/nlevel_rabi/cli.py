@@ -7,7 +7,7 @@ Configuration lives in an INI-style file with three sections::
 
     [drive]
     g = 0.1                       ; coupling constant (> 0)
-    frequencies = resonant        ; 'resonant' or 'explicit'
+    frequencies = resonant        ; 'resonant' or 'explicit', even with --resonant/--epsilon
     omega_0_2 = 2.1               ; per-pair keys; overrides under 'resonant',
                                   ; all pairs required under 'explicit'
 
@@ -19,9 +19,10 @@ Configuration lives in an INI-style file with three sections::
     output = trajectory.csv       ; omit to write to stdout
     format = csv                  ; csv | json
 
-Command-line flags override file keys.  Exit codes: 0 success, 2 config
-error or failed write, 3 precondition failure (e.g. consistency violation),
-4 numeric failure or a run that cannot allocate its arrays.
+Command-line flags override file keys; any other section or key is refused.
+Exit codes: 0 success, 2 config error or failed write, 3 precondition failure
+(e.g. consistency violation), 4 numeric failure or a run that cannot allocate
+its arrays (a ``samples`` or ``spectrum --n`` numpy cannot size included).
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ class RunConfig:
         psi0 = StateVector(self.initial)
         if psi0.n != levels.n:
             raise ConfigError(f"initial state must have {levels.n} amplitudes")
+        if 16 * self.samples * levels.n > np.iinfo(np.intp).max:  # numpy cannot size the grid
+            raise MemoryError(f"Unable to allocate {16.0 * self.samples * levels.n:.3g} bytes "
+                              f"for {self.samples} samples of {levels.n} amplitudes")
         integrator = None
         if SOLVER_TABLE[self.solver] is _solve_numeric:
             # a step of 0.1 over the fastest rate (at most 1e-3) unless overridden
@@ -163,15 +167,24 @@ def _run_value(key: str, text: str, n: int):
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse the INI config, apply overrides (run key -> text), resolve frequencies."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no section header can name "", so [DEFAULT] is a section like any other (and refused)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     ov = overrides or {}
+    unread = [f"[{section}]" for section in parser.sections() if section not in FILE_KEYS]
+    unread += [f"[{section}] {key}" for section in FILE_KEYS if parser.has_section(section)
+               for key in parser[section] if key not in FILE_KEYS[section]
+               and not (section == "drive" and key.startswith("omega_"))]
+    if unread:
+        raise ConfigError(f"config keys that no run reads: {', '.join(unread)}")
     try:
+        mode = parser.get("drive", "frequencies", fallback="resonant").strip().lower()
+        if mode not in ("resonant", "explicit"):
+            raise ConfigError("frequencies must be 'resonant' or 'explicit'")
         energies = tuple(map(float, parser.get("levels", "energies").replace(",", " ").split()))
         levels = LevelSpec(energies)
-        mode = parser.get("drive", "frequencies", fallback="resonant").strip().lower()
         run = {}
         for key, (section, fallback, *_) in RUN_KEYS.items():
             text = ov.get(key, parser.get(section, key, fallback=fallback))
@@ -194,13 +207,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError("--epsilon is the n=3 detuning knob")
         pair_keys[(0, 2)] = float(levels.deltas[2]) + float(ov["epsilon"])
 
-    if mode == "resonant":
-        omega = dict(apply_resonance(levels, run["g"], nonadjacent=pair_keys).omega)
-    elif mode == "explicit":
-        omega = pair_keys
-    else:
-        raise ConfigError("frequencies must be 'resonant' or 'explicit'")
-
+    omega = (dict(apply_resonance(levels, run["g"], nonadjacent=pair_keys).omega)
+             if mode == "resonant" else pair_keys)
     return RunConfig(energies=energies, omega=omega, step=ov.get("step"),
                      max_steps=ov.get("max_steps"), **run)
 
@@ -250,6 +258,11 @@ RUN_KEYS = {
     "format": ("run", "csv", str, "csv | json"),
 }
 
+# INI section -> the keys a run reads there; [drive] also takes one omega_i_j key per pair
+FILE_KEYS = {"levels": {"energies"},
+             "drive": {"frequencies", *(k for k, (sec, *_) in RUN_KEYS.items() if sec == "drive")},
+             "run": {k for k, (sec, *_) in RUN_KEYS.items() if sec == "run"}}
+
 
 def run_solver(cfg: RunConfig) -> Trajectory:
     """Run cfg's solver once over the whole time grid and return the trajectory.
@@ -294,23 +307,9 @@ def _violations(violations) -> list:
     return [{"pair": list(ij), "epsilon": v} for ij, v in violations]
 
 
-def _run_task(cfgs) -> list:
-    """Per cfg of one task: its Trajectory, or the refusal or failure of its run.
-
-    A failure of a whole RK4 stack (one that cannot allocate, say) is every run's.
-    """
-    try:
-        if len(cfgs) == 1:
-            return [run_solver(cfgs[0])]
-        grid = np.linspace(0.0, cfgs[0].t_max, cfgs[0].samples)
-        return integrate_stack([_h_fn(cfg) for cfg in cfgs], [cfg.psi0 for cfg in cfgs], grid,
-                               cfgs[0].integrator)
-    except _FAILURES as exc:
-        return [exc] * len(cfgs)
-
-
 def _run_all(cfgs, finish, pool_map=map) -> list:
-    """finish(index, result) for every cfg, where result is what _run_task gives for it.
+    """finish(index, result) for every cfg, where result is its Trajectory or the refusal
+    or failure of its run.
 
     RK4 runs (numeric-rwa and numeric-full alike) that share n, t_max, samples
     and integrator settings form one task, solved as one RK4 stack; every
@@ -325,7 +324,13 @@ def _run_all(cfgs, finish, pool_map=map) -> list:
         tasks.setdefault(key, []).append(idx)
 
     def run(task):
-        results = _run_task([cfgs[idx] for idx in task])
+        first = cfgs[task[0]]
+        try:
+            results = ([run_solver(first)] if len(task) == 1 else integrate_stack(
+                [_h_fn(cfgs[idx]) for idx in task], [cfgs[idx].psi0 for idx in task],
+                np.linspace(0.0, first.t_max, first.samples), first.integrator))
+        except _FAILURES as exc:  # a whole stack's failure (one that cannot allocate) is each run's
+            results = [exc] * len(task)
         return [(idx, finish(idx, result)) for idx, result in zip(task, results)]
 
     done = dict(itertools.chain.from_iterable(pool_map(run, tasks.values())))
@@ -354,6 +359,8 @@ def cmd_spectrum(args) -> int:
     n = args.n
     if n < 2:
         raise ConfigError("--n must be at least 2")
+    if 8 * n * n > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate {8.0 * n * n:.3g} bytes for the basis of n = {n}")
     dec = decompose(n)
     c = coupling_matrix(n)
     print("# closed-form eigenvalues lambda_j = 2*cos(pi*j/(n+1))")
@@ -404,13 +411,8 @@ def cmd_compare(args) -> int:
     for result in trajs:
         if isinstance(result, Exception):
             raise result
-    report = compare(*trajs)
-    doc = {
-        "solvers": solvers,
-        "config": base.to_dict(),
-        "report": report.to_dict(),
-    }
-    text = json.dumps(doc, indent=2)
+    text = json.dumps({"solvers": solvers, "config": base.to_dict(),
+                       "report": compare(*trajs).to_dict()}, indent=2)
     if base.output is None:
         print(text)
     else:

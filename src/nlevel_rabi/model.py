@@ -72,11 +72,12 @@ class LevelSpec:
         e = tuple(float(x) for x in self.energies)
         if len(e) < 2:
             raise ConfigError("need at least two levels")
-        if not np.all(np.isfinite(e)):
+        shifted = tuple(x - e[0] for x in e)
+        if not np.all(np.isfinite(shifted)):  # an input that is not, or a span that overflows
             raise ConfigError("energies must be finite")
-        if any(b <= a for a, b in zip(e, e[1:])):
+        if any(b <= a for a, b in zip(shifted, shifted[1:])):  # the shift may merge levels
             raise ConfigError("energies must be strictly increasing")
-        object.__setattr__(self, "energies", tuple(x - e[0] for x in e))
+        object.__setattr__(self, "energies", shifted)
 
     @property
     def n(self) -> int:

@@ -356,18 +356,20 @@ class DeviationReport:
 
     ``table`` columns: t, raw amplitude deviation, phase-aligned amplitude
     deviation, population deviation.  The aligned column removes the global
-    phase that best matches the states at each time.
+    phase that best matches the states at each time.  The three global maxima
+    are the largest entries of the three deviation columns.
     """
 
-    max_amplitude_dev: float
-    max_aligned_amplitude_dev: float
-    max_population_dev: float
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         table = np.array(self.table, dtype=float)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
+
+    max_amplitude_dev = property(lambda self: float(np.max(self.table[:, 1])))
+    max_aligned_amplitude_dev = property(lambda self: float(np.max(self.table[:, 2])))
+    max_population_dev = property(lambda self: float(np.max(self.table[:, 3])))
 
     def to_dict(self) -> dict:
         return {
@@ -393,9 +395,4 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> DeviationReport:
         np.max(np.abs(a - phase[:, None] * b), axis=1),
         np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2), axis=1),
     ))
-    return DeviationReport(
-        max_amplitude_dev=float(np.max(table[:, 1])),
-        max_aligned_amplitude_dev=float(np.max(table[:, 2])),
-        max_population_dev=float(np.max(table[:, 3])),
-        table=table,
-    )
+    return DeviationReport(table)

@@ -33,7 +33,6 @@ _SQRT2 = math.sqrt(2.0)
 class SpectralDecomp:
     """Eigenvalues (decreasing) and orthogonal eigenbasis of C."""
 
-    n: int
     eigenvalues: np.ndarray
     basis: np.ndarray
 
@@ -83,7 +82,7 @@ def decompose(n: int) -> SpectralDecomp:
     """Closed-form eigen-decomposition C = O diag(lambda) O^T."""
     _check_n(n)
     o = math.sqrt(2.0 / (n + 1)) * np.sin(_sine_args(n))
-    return SpectralDecomp(n=n, eigenvalues=eigenvalues(n), basis=o)
+    return SpectralDecomp(eigenvalues=eigenvalues(n), basis=o)
 
 
 def exp_c(n: int, g: float, t) -> np.ndarray:

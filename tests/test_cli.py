@@ -495,6 +495,17 @@ REFUSED = {
     "no-t-max": (["evolve", "{cfg}"], "[levels]\nenergies = 0.0, 1.0, 2.0\n[drive]\ng = 0.1\n"
                                       "[run]\nsolver = exact\n"),
     "frequencies-bogus": (["evolve", "{cfg}"], {"frequencies": "bogus"}),
+    # the mode is checked before --epsilon or --resonant sets it
+    "frequencies-bogus-epsilon": (["evolve", "{cfg}", "--epsilon", "0.1"],
+                                  {"frequencies": "bogus"}),
+    "frequencies-bogus-resonant": (["evolve", "{cfg}", "--resonant"], {"frequencies": "bogus"}),
+    # INI sections and keys that no run reads: a misspelt key, an unknown section, a flag
+    # that is no file key, and a key under [DEFAULT]
+    "misspelt-run-key": (["evolve", "{cfg}"], {"fmt": "csv\nsmaples = 7"}),
+    "misspelt-drive-key": (["evolve", "{cfg}"], {"extra_drive": "frequency = explicit"}),
+    "unknown-section": (["evolve", "{cfg}"], {"fmt": "csv\n[runn]"}),
+    "run-step-key": (["evolve", "{cfg}", "--solver", "numeric-rwa"], {"fmt": "csv\nstep = 1e-4"}),
+    "default-section-key": (["evolve", "{cfg}"], {"fmt": "csv\n[DEFAULT]\ng = 0.2"}),
     "epsilon-n-4": (["evolve", "{cfg}", "--epsilon", "0.1"], {"energies": "0.0, 1.0, 2.0, 3.0"}),
     "output-is-a-directory": (["evolve", "{cfg}", "--output", "."], {}),
     # a sweep with no values, refused before --outdir is made
@@ -517,6 +528,16 @@ def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, argv, config)
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "config"
     assert not outdir.exists()
+
+
+def test_config_keys_no_run_reads_are_named_in_one_json_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, fmt="json\nsmaples = 7\nfromat = json\n[runn]",
+                       extra_drive="frequency = explicit")
+    assert main(["evolve", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "config", "message": "config keys that no run reads: "
+                               "[runn], [drive] frequency, [run] smaples, [run] fromat"}
 
 
 def test_resonant_flag_replaces_adjacent_frequencies_of_an_explicit_file(tmp_path, capsys):
@@ -924,6 +945,27 @@ def test_dyson2_sweep_too_long_to_allocate_is_recorded_in_the_manifest(tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "memory"
+
+
+# sizes whose arrays numpy cannot even size: one past the int64 range, and int64's largest
+@pytest.mark.parametrize("argv", [["evolve", "{cfg}", "--samples", "99999999999999999999"],
+                                  ["evolve", "{cfg}", "--samples", "9223372036854775807"],
+                                  ["spectrum", "--n", "99999999999999999999"],
+                                  ["sweep", "{cfg}", "--param", "run.samples", "--values",
+                                   "3,9223372036854775807", "--outdir", "{out}"]],
+                         ids=["samples-past-int64", "samples-int64-max", "spectrum-n", "sweep"])
+def test_size_numpy_cannot_allocate_exits_4_with_one_json_line(tmp_path, capsys, argv):
+    outdir = tmp_path / "out"
+    argv = [a.format(cfg=write_config(tmp_path), out=outdir) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "memory" and doc["message"].startswith("Unable to allocate ")
+    assert not outdir.exists()
 
 
 def test_importing_the_cli_leaves_concurrent_futures_to_sweep():

@@ -71,6 +71,18 @@ def test_level_spec_rejects_non_finite(bad):
         LevelSpec((0.0, 1.0, bad))
 
 
+def test_level_spec_refuses_a_span_that_overflows_once_the_ground_is_zero():
+    # each energy is finite, but E_2 - E_0 = 2e308 is not
+    with pytest.raises(ConfigError, match="^energies must be finite$"):
+        LevelSpec((-1e308, 0.0, 1e308))
+
+
+def test_level_spec_refuses_levels_the_shift_merges():
+    # 1e-300 + 1e20 rounds to 1e20, so E_1 and E_2 coincide once the ground is zero
+    with pytest.raises(ConfigError, match="^energies must be strictly increasing$"):
+        LevelSpec((-1e20, 0.0, 1e-300))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_drive_spec_rejects_non_finite(bad):
     with pytest.raises(ConfigError):

@@ -245,6 +245,17 @@ def test_deviation_report_dict():
     assert len(d["table"]) == 3
 
 
+def test_deviation_report_maxima_are_its_table_column_maxima():
+    table = [[0.0, 0.3, 0.1, 0.2], [1.0, 0.5, 0.0, 0.4], [2.0, 0.2, 0.7, 0.0]]
+    report = DeviationReport(table)
+    assert (report.max_amplitude_dev, report.max_aligned_amplitude_dev,
+            report.max_population_dev) == (0.5, 0.7, 0.4)
+    assert report.to_dict() == {"max_amplitude_dev": 0.5, "max_aligned_amplitude_dev": 0.7,
+                                "max_population_dev": 0.4,
+                                "columns": ["t", "amp_dev", "aligned_amp_dev", "pop_dev"],
+                                "table": table}
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     lev, drive = _two_level_resonant()
     traj = integrate(full_hamiltonian(lev, drive), StateVector.basis(2, 0),
