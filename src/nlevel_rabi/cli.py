@@ -57,6 +57,7 @@ from .propagate import (
     NumericFailure,
     StepBudgetExceeded,
     Trajectory,
+    _opened,
     compare,
     integrate,
     integrate_stack,
@@ -191,11 +192,19 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             if text is None:
                 raise ConfigError(f"missing key {key!r} in section [{section}]")
             run[key] = _run_value(key, text, levels.n)
-        pair_keys = {}
+        pair_keys, spelled = {}, {}
         for key, value in parser.items("drive"):
             if key.startswith("omega_"):
-                _, i, j = key.split("_")
-                pair_keys[(int(i), int(j))] = float(value)
+                ij = key.split("_")[1:]
+                if len(ij) != 2 or not all(part.isdecimal() for part in ij):
+                    raise ConfigError(f"frequency key {key!r} is not omega_i_j with level "
+                                      "indices i and j")
+                pair = (int(ij[0]), int(ij[1]))
+                if pair in spelled:
+                    raise ConfigError(f"frequency keys {spelled[pair]!r} and {key!r} both set "
+                                      f"pair {pair}")
+                spelled[pair] = key
+                pair_keys[pair] = float(value)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -411,12 +420,14 @@ def cmd_compare(args) -> int:
     for result in trajs:
         if isinstance(result, Exception):
             raise result
-    text = json.dumps({"solvers": solvers, "config": base.to_dict(),
-                       "report": compare(*trajs).to_dict()}, indent=2)
-    if base.output is None:
-        print(text)
-    else:
-        Path(base.output).write_text(text + "\n")
+    from . import csvtext  # compiled on the first write, not at every start-up
+
+    report = compare(*trajs)
+    doc = {"solvers": solvers, "config": base.to_dict(),
+           "report": {**report.to_dict(), "table": report.table}}
+    with _opened(base.output if base.output is not None else sys.stdout) as fh:
+        csvtext.dump_json(doc, fh)
+        fh.write("\n")
     return EXIT_OK
 
 

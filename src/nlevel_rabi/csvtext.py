@@ -1,12 +1,24 @@
-"""CSV text of float64 tables: ``"%.17g" % x`` for every cell, byte for byte, in numpy.
+"""Text of float64 arrays in numpy, byte for byte: ``"%.17g" % x`` for CSV, ``repr(x)`` for JSON.
 
-A nonzero |x| in [1e-200, 1e200] has the decimal exponent E = floor(log10 |x|) and the
-17 digits of D = round(|x| 10^(16 - E)).  |x| 10^(16 - E) is formed as a double-double:
-Dekker's exact product of |x| and the correctly rounded 10^k, plus |x| times the rounded
-rest of 10^k, within 1e-14 of the true value.  So D is proved unless the fraction is
-within 1e-9 of one half (every exact tie is, and about one other cell in 5e8).  Such
-cells, non-finite values and |x| outside that range (subnormals among them) take
-Python's "%.17g" instead; zero, -0.0 and signs stay in the kernel.
+A nonzero |x| in [1e-200, 1e200] has the decimal exponent E = floor(log10 |x|), and
+V = |x| 10^(16 - E) = w + frac is formed as a double-double: Dekker's exact product of
+|x| and the correctly rounded 10^k, plus |x| times the rounded rest of 10^k, within 1e-14
+of the true value.  Both spellings write the digits of a 17-digit integer D:
+
+- "%.17g" takes D = round(V).  It is proved unless frac is within 1e-9 of one half (every
+  exact tie is, and about one other cell in 5e8).
+- repr takes the shortest digits that read back as x (Steele & White; Adams's Ryu): the
+  integer with the most trailing zeros among those within half the gap to the next float,
+  h = spacing(|x|) 10^(16 - E) / 2, of V, and nearest V among those (below an exact power
+  of two the gap is half as wide).  The range is 1.1 to 22.2 wide, so it holds at most one
+  multiple of 100: b - b % 100, where b is the top of the range, if that lies in it; else
+  the nearest multiple of 10 in it, if there is one; else round(V), which always lies in
+  it.  It is proved unless a boundary of the range, or a midpoint between two candidates,
+  lies within 1e-9 of them (as for every float from 2^52 to 1e17, whose range ends on
+  whole numbers).
+
+Unproved cells, non-finite values and |x| outside that range (subnormals among them) take
+Python's own text; zero, -0.0 and signs stay in the kernel.
 
 A cell's text is laid out in a slot of _SLOT bytes::
 
@@ -17,12 +29,17 @@ digit j at 6 + 2j, a point after it at 7 + 2j.  A keep mask zeroes the bytes tha
 not the cell's text: it keeps the digits up to the last nonzero one or the end of the
 integer part, the point after the integer part if a digit follows, "0." and the zeros
 before the digits for E = -1 ... -4, "e" and the exponent outside -4 <= E <= 16, "0"
-alone for zero, and the sign where x has one.  Deleting the NUL bytes leaves the text.
+alone for zero, and the sign where x has one.  repr's masks differ in three places: the
+exponent is written from E = 16 on, a whole number keeps its point and one zero after
+it ("100.0"), and zero is "0.0".  Deleting the NUL bytes leaves the text.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import json
+import operator
 
 import numpy as np
 
@@ -31,8 +48,10 @@ _E_MIN, _E_MAX = -210, 210  # decimal exponents the tables hold
 _SLOT = 48
 _ZERO = _E_MAX - _E_MIN + 1  # the template of zero, after the one of each exponent
 _NEVER = 127  # keep rank of a byte never kept; a byte of rank r is kept when r <= m
-# a block's temporaries take about 512 bytes a cell; a block holds the rows that fit 2^20
+# a block's temporaries take about 512 bytes a cell; a block holds the cells that fit 2^20
 _BLOCK_BYTES, _CELL_BYTES = 2 ** 20, 512
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's non-finite floats
+_END = "\x01"  # the separator after an array's last cell; never part of a cell's text
 
 
 def lines(table):
@@ -43,22 +62,109 @@ def lines(table):
     rows = max(1, _BLOCK_BYTES // (_CELL_BYTES * table.shape[1]))
     for start in range(0, len(table), rows):
         block = table[start : start + rows]
-        x = block.ravel()
-        out, slow = slots(x)
+        out, _ = slots(block.ravel())
         out[block.shape[1] - 1 :: block.shape[1], 45] = ord("\n")
-        for i in np.flatnonzero(slow):
-            text = ("%.17g" % x[i]).encode()
-            out[i, :45] = 0
-            out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
         yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def slots(x):
+def dump_json(doc, fh):
+    """Write ``json.dumps(doc, indent=2)`` to the text stream ``fh``, byte for byte.
+
+    Values of ``doc``, and of the str-keyed dicts in it, may be float64 ndarrays: an
+    array is written as its nested lists, every cell in repr's spelling (``NaN`` and
+    ``Infinity`` where not finite).  The cells of all arrays go through the kernel
+    together, a block at a time, each followed by its separator: a row of a small table,
+    picked by how many array axes the cell closes.  After an array's last cell the
+    separator is a marker, where the JSON text up to the next array's first cell is
+    written, so the table stays as narrow as the deepest separator.
+    """
+    # texts[j] comes before array j and texts[-1] after the last; an array's span is (its
+    # first cell, its end, its cells, the table row of each cell of one top-level element)
+    texts, spans, rows, size = [""], [], [], 0
+    for piece in _pieces(doc, 0):
+        if isinstance(piece, str):
+            texts[-1] += piece
+        else:
+            cells, closes, seps = piece
+            spans.append((size, size + len(cells), cells, closes + len(rows)))
+            texts.append("")
+            rows += seps
+            size += len(cells)
+    width = max(map(len, rows), default=0)
+    table = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows),
+                          dtype=np.uint8).reshape(len(rows), width)
+    block = _BLOCK_BYTES // (_CELL_BYTES + width)
+    after = iter(texts[1:])
+    fh.write(texts[0])
+    for lo in range(0, size, block):
+        x, ids = [], []
+        for begin, end, cells, closes in spans:
+            start, stop = max(lo, begin) - begin, min(lo + block, end) - begin
+            if start < stop:
+                i = np.arange(start, stop)
+                x.append(cells[start:stop])
+                ids.append(closes.take(i % len(closes)) + (i == len(cells) - 1))
+        out, _ = slots(np.concatenate(x), shortest=True)
+        text = np.concatenate((out[:, :45], table.take(np.concatenate(ids), axis=0)), axis=1)
+        head, *parts = text.tobytes().translate(None, b"\0").decode("ascii").split(_END)
+        fh.write(head)
+        for part in parts:
+            fh.write(next(after))
+            fh.write(part)
+
+
+def _pieces(value, depth):
+    """The JSON text of ``value`` at dict depth ``depth``: strings and, for each float64
+    array with cells, (its cells, how many axes each cell of one top-level element
+    closes, its separators)."""
+    if isinstance(value, dict) and _holds_array(value) and all(isinstance(k, str) for k in value):
+        for i, (key, item) in enumerate(value.items()):
+            yield ("," if i else "{") + _indent(depth + 1) + json.dumps(key) + ": "
+            yield from _pieces(item, depth + 1)
+        yield _indent(depth) + "}"
+    elif isinstance(value, np.ndarray) and value.dtype == float and value.ndim and value.size:
+        opening, seps, closing = _brackets(depth, value.ndim)
+        closes = np.zeros(value.size // len(value), dtype=np.intp)
+        for cells in itertools.accumulate(value.shape[:0:-1], operator.mul):
+            closes[cells - 1 :: cells] += 1
+        yield opening
+        yield value.reshape(-1), closes, seps
+        yield closing
+    else:
+        if isinstance(value, np.ndarray) and value.dtype == float:
+            value = value.tolist()
+        yield json.dumps(value, indent=2).replace("\n", _indent(depth))
+
+
+def _holds_array(value):
+    """Whether ``value`` is an ndarray or a dict with one at any depth."""
+    return isinstance(value, np.ndarray) or isinstance(value, dict) and any(
+        map(_holds_array, value.values()))
+
+
+def _indent(depth):
+    return "\n" + "  " * depth
+
+
+@functools.cache
+def _brackets(depth, k):
+    """(opening, separators, closing) of a k-axis array at dict depth ``depth``.
+
+    A cell that closes c < k axes is followed by separator c: c "]", a ",", and c "["
+    to the next cell; the last cell, which closes all k, by _END.
+    """
+    opening = lambda c: "".join("[" + _indent(depth + k - c + 1 + j) for j in range(c))
+    closing = lambda c: "".join(_indent(depth + k - 1 - j) + "]" for j in range(c))
+    seps = [closing(c) + "," + _indent(depth + k - c) + opening(c) for c in range(k)] + [_END]
+    return opening(k), [sep.encode() for sep in seps], closing(k)
+
+
+def slots(x, shortest=False):
     """(out, slow) for the 1-D float64 array ``x``.
 
-    Row i of the (len(x), _SLOT) uint8 ``out`` holds the "%.17g" text of x[i] and a ",",
-    among NUL bytes, except where ``slow`` marks a cell whose rounding the kernel cannot
-    prove.
+    Row i of the (len(x), _SLOT) uint8 ``out`` holds the "%.17g" text of x[i], or its
+    repr if ``shortest``, and a ",", among NUL bytes.  ``slow`` marks the cells whose
+    digits the kernel cannot prove; their text is Python's.
     """
     tables = _tables()
     quad, last, templates, kind, keep = tables[4:]
@@ -74,11 +180,15 @@ def slots(x):
     if redo.size:
         e[redo] -= off[redo]
         d[redo], frac[redo] = _scaled(a[redo], e[redo], tables)
-    d += frac > 0.5
+    if shortest:
+        d, near = _shortest(a, e, d, frac, tables[0])
+    else:
+        d += frac > 0.5
+        near = abs(frac - 0.5) < 1e-9
     carry = d == 10 ** 17  # 99999999999999999.5 and up round to 1e17: one more digit
     d[carry] = 10 ** 16
     e += carry
-    slow = ~(fast | zero) | (abs(frac - 0.5) < 1e-9) | (d < 10 ** 16) | (d >= 10 ** 17)
+    slow = ~(fast | zero) | near | (d < 10 ** 16) | (d >= 10 ** 17)
     t = np.where(zero, _ZERO, e - _E_MIN)
     # d0, then the four groups of four digits, from the halves of D, which floats hold exactly
     top = d // 10 ** 8
@@ -93,10 +203,20 @@ def slots(x):
     out[:, 6] = lead + ord("0")
     out.view(np.uint64)[:, 1:5] = quad.take(groups).T
     last_nonzero = last.take(groups + np.array([[0], [10000], [20000], [30000]])).max(axis=0)
-    mask = keep.take(kind.take(t) * 17 + last_nonzero, axis=0)
+    mask = keep.take(kind[int(shortest)].take(t) * 17 + last_nonzero, axis=0)
     mask[:, 0] = np.signbit(x)
     out *= mask
+    spell = _json_float if shortest else "%.17g".__mod__
+    for i in np.flatnonzero(slow):
+        text = spell(x[i]).encode()
+        out[i, :45] = 0
+        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out, slow
+
+
+def _json_float(v):
+    text = float.__repr__(v)
+    return _JSON_WORDS.get(text, text)
 
 
 def _scaled(a, e, tables):
@@ -113,15 +233,37 @@ def _scaled(a, e, tables):
     return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
+def _shortest(a, e, w, frac, hi):
+    """(D, near): repr's digits of V = a 10^(16 - e) = w + frac as a 17-digit integer with
+    trailing zeros, and the cells within 1e-9 of one of its decisions."""
+    half = np.spacing(a) * hi.take(e - _E_MIN) * 0.5
+    low = np.where(a.view(np.int64) << 12 == 0, 0.5 * half, half)  # half below a power of two
+    top = frac + half  # the range is [V - low, V + half] = w + [frac - low, top]
+    b = w + np.floor(top).astype(np.int64)
+    hundred = b - b % 100
+    above_low = (hundred - w) - (frac - low)  # hundred is in range when this is positive
+    unit = w % 10
+    r = unit + frac  # V's distance above the multiple of 10 below it
+    down, up = r < low, 10 - r < half  # the multiples of 10 below and above V in range
+    d = np.where(above_low > 0, hundred, np.where(
+        down | up, w - unit + 10 * (up & (~down | (r > 5))), w + (frac > 0.5)))
+    # the top's floor, the range's ends, and the ties between multiples of 10 (when both are
+    # in range) and of 1
+    edges = np.array([top - np.round(top), above_low, r - low, 10 - r - half,
+                      np.where(low > 5, r - 5, 1.0), frac - 0.5])
+    return d, abs(edges).min(axis=0) < 1e-9
+
+
 @functools.cache
 def _tables():
-    """The kernel's tables, built on the first CSV write.
+    """The kernel's tables, built on the first write.
 
     (hi, lo, hi's split halves) of 10^(16 - E) for E in [_E_MIN, _E_MAX]; the 10,000
     four-digit groups as "d.d.d.d." uint64 words; for group j = 0 ... 3 (digits 4j + 1 to
     4j + 4 of the 17), the index of each value's last nonzero digit, 0 for 0000, at
-    j 10^4 + value; each exponent's (and zero's) slot template and keep class; and the
-    keep masks, one row per keep class and last nonzero digit.
+    j 10^4 + value; each exponent's (and zero's) slot template, and its keep class for
+    "%.17g" (row 0) and repr (row 1); and the keep masks, one row per keep class and last
+    nonzero digit.
     """
     hi, lo = [], []
     for k in range(16 - _E_MIN, 16 - _E_MAX - 1, -1):
@@ -146,29 +288,36 @@ def _tables():
     last = np.where(last2 > 0, last2 + 2, last2[:, None]).ravel()
     last = np.where(last > 0, last + np.array([[0], [4], [8], [12]], dtype=np.int8), 0)
     # keep classes: E = -4 ... 16 written out, a two-digit exponent, a three-digit
-    # exponent, zero
+    # exponent, zero; for repr also E = 0 ... 15 written out with at least one decimal,
+    # and zero as "0.0"
     e = np.arange(_E_MIN, _E_MAX + 1)
-    kind = np.full(_ZERO + 1, 23)
-    kind[:_ZERO] = np.where((-4 <= e) & (e <= 16), e + 4, np.where(abs(e) < 100, 21, 22))
+    exponent = np.where(abs(e) < 100, 21, 22)
+    kind = np.array([[23], [40]]).repeat(_ZERO + 1, axis=1)
+    kind[0, :_ZERO] = np.where((-4 <= e) & (e <= 16), e + 4, exponent)
+    kind[1, :_ZERO] = np.where((-4 <= e) & (e <= 15), np.where(e < 0, e + 4, e + 24), exponent)
     templates = np.zeros((_ZERO + 1, _SLOT), dtype=np.uint8)
     templates[:, :8] = np.frombuffer(b"-0.0000.", dtype=np.uint8)
     templates[:_ZERO, 40:45] = np.frombuffer(
         "".join(f"e{x:+03d}".ljust(5) for x in e).encode(), dtype=np.uint8).reshape(-1, 5)
     templates[:, 45] = ord(",")
-    # rank[kind, column]; the digits through the integer part's last, floor, are kept
-    rank = np.full((24, _SLOT), _NEVER, dtype=np.int8)
-    floor = np.zeros(24, dtype=np.int8)
-    for k in range(23):
+    # rank[kind, column]; the digits through floor[kind] are kept
+    rank = np.full((41, _SLOT), _NEVER, dtype=np.int8)
+    floor = np.zeros(41, dtype=np.int8)
+    for k in (*range(23), *range(24, 40)):
         rank[k, 6:40:2] = np.arange(17)  # digit j is kept when j <= m
-        point = k - 4 if k <= 20 else 0  # the last digit of the integer part
-        if point >= 0:
+        point = k - 4 if k <= 20 else k - 24 if k >= 24 else 0  # the integer part's last digit
+        if k >= 24:  # repr's: the point and the digit after it, "0" for a whole number
+            floor[k] = point + 1
+            rank[k, 7 + 2 * point] = -1
+        elif point >= 0:
             floor[k] = point
             rank[k, 7 + 2 * point] = point + 1  # kept when a digit follows it
         else:
             rank[k, 1 : 2 - point] = -1  # "0." and the zeros before the digits
-        if k > 20:
+        if k in (21, 22):
             rank[k, 40 : 44 + (k == 22)] = -1
     rank[23, 1] = -1
+    rank[40, 1:4] = -1
     rank[:, 45] = -1
     m = np.maximum(np.arange(17), floor[:, None])
     keep = rank[:, None, :] <= m[:, :, None]

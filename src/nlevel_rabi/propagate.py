@@ -8,7 +8,6 @@ drift stays visible as an error meter.
 from __future__ import annotations
 
 import contextlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +95,7 @@ class Trajectory:
         ``csvtext.lines`` a block of rows at a time.  ``target`` may be a path or an
         open text stream.
         """
-        from . import csvtext  # compiled on the first CSV write, not at every start-up
+        from . import csvtext  # compiled on the first write, not at every start-up
 
         n = self.n
         header = ["t"]
@@ -114,31 +113,17 @@ class Trajectory:
 
         The text is ``json.dump(doc, fh, indent=2)`` and a newline, byte for byte,
         where doc holds ``config`` (``{}`` if None), ``times``, ``states`` as
-        [re, im] pairs and ``populations``.  Each section's rows are written from
-        one ``%r`` template, with json's spelling of repr's nan, inf and -inf (no
-        finite repr holds these letters).
+        [re, im] pairs and ``populations``, made by ``csvtext.dump_json``.
         """
-        pops = self.populations
-        levels = lambda item: "    [\n" + ",\n".join([item] * self.n) + "\n    ]"
-        sections = (("times", self.times[:, None], "    %r"),
-                    ("states", self.states.view(float),
-                     levels("      [\n        %r,\n        %r\n      ]")),
-                    ("populations", pops, levels("      %r")))
-        # the config block at the depth it has in doc; json.dumps indents by depth alone
-        head = json.dumps({"config": config or {}}, indent=2)[: -len("\n}")]
+        from . import csvtext  # compiled on the first write, not at every start-up
+
+        # interleaved (re, im) pairs are the float64 view of the complex states
+        doc = {"config": config or {}, "times": self.times,
+               "states": self.states.view(float).reshape(len(self.states), self.n, 2),
+               "populations": self.populations}
         with _opened(target) as fh:
-            fh.write(head)
-            for key, table, line in sections:
-                if not len(table):
-                    fh.write(f',\n  "{key}": []')
-                    continue
-                fh.write(f',\n  "{key}": [\n')
-                for lo in range(0, len(table), 256):  # 256 rows at a time bound the text held
-                    text = ",\n".join([line % tuple(row) for row in table[lo : lo + 256].tolist()])
-                    text = text.replace("nan", "NaN").replace("inf", "Infinity")
-                    fh.write(",\n" + text if lo else text)
-                fh.write("\n  ]")
-            fh.write("\n}\n")
+            csvtext.dump_json(doc, fh)
+            fh.write("\n")
 
 
 def _opened(target):

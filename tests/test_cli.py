@@ -465,6 +465,11 @@ REFUSED = {
     "epsilon-omega_2_0": (["evolve", "{cfg}", "--epsilon", "0.1"],
                           {"extra_drive": "omega_2_0 = 9.0"}),
     "no-drive-section": (["evolve", "{cfg}", "--g", "0.1"], NO_DRIVE),
+    # pair keys that do not name two level indices, and one pair under two spellings
+    "pair-key-not-an-index": (["evolve", "{cfg}"], {"extra_drive": "omega_0_x = 2.0"}),
+    "pair-key-three-indices": (["evolve", "{cfg}"], {"extra_drive": "omega_0_2_3 = 2.0"}),
+    "pair-key-two-spellings": (["evolve", "{cfg}"],
+                               {"extra_drive": "omega_0_2 = 2.0\nomega_00_2 = 2.5"}),
     # --step/--max-steps with no RK4 run
     "evolve-exact-step": (["evolve", "{cfg}", "--solver", "exact", "--step", "-5",
                            "--max-steps", "0"], {}),
@@ -528,6 +533,20 @@ def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, argv, config)
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "config"
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("extra_drive, named", [
+    ("omega_0_x = 2.0", ["omega_0_x"]),
+    ("omega_0_2_3 = 2.0", ["omega_0_2_3"]),
+    ("omega_ = 2.0", ["omega_"]),
+    ("omega_0_2 = 2.0\nomega_00_2 = 2.5", ["omega_0_2", "omega_00_2"]),
+    ("omega_0_02 = 2.5\nomega_0_2 = 2.0", ["omega_0_02", "omega_0_2"]),
+])
+def test_a_bad_or_repeated_pair_key_is_refused_by_name(tmp_path, capsys, extra_drive, named):
+    cfg = write_config(tmp_path, frequencies="explicit", extra_drive=extra_drive)
+    assert main(["exact-check", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert all(repr(key) in message for key in named), message
 
 
 def test_config_keys_no_run_reads_are_named_in_one_json_line(tmp_path, capsys):

@@ -1,6 +1,14 @@
-"""The numpy "%.17g" kernel against Python's own formatting, on floats chosen to break it."""
+"""The numpy "%.17g" and repr kernels against Python's own formatting, on floats chosen to
+break them, and the JSON writer against the stdlib's."""
+
+import io
+import json
+import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_propagate import JSON_VALUES, NASTY_FLOATS
 
 from nlevel_rabi import csvtext
 
@@ -67,3 +75,68 @@ def test_kernel_falls_back_exactly_where_it_cannot_prove_the_digits():
     assert not csvtext.slots(fast)[1].any()
     slow = np.array([np.nan, np.inf, -np.inf, 5e-324, 1e-201, 1e201, 1.7e308])
     assert csvtext.slots(slow)[1].all()
+
+
+def _repr_texts(values):
+    """The kernel's repr text of each value, with the "," each slot ends in."""
+    return csvtext.slots(values, shortest=True)[0].tobytes().translate(None, b"\0").decode()
+
+
+def _json_texts(values):
+    return "".join(json.dumps(v) + "," for v in values.tolist())
+
+
+def test_repr_kernel_matches_repr_on_adversarial_floats():
+    values = _adversarial_floats()
+    assert _repr_texts(values) == _json_texts(values)
+
+
+def test_repr_kernel_matches_repr_next_to_powers_of_two_and_its_layout_switches():
+    values = [v for k in range(-1074, 1024) for v in _neighbours(2.0 ** k, 3)]
+    # where the layout switches: 1e16 and 1e-5 are written with an exponent, 1e15 and 1e-4
+    # without
+    for x in (1e16, 1e15, 1e-5, 1e-4):
+        values += _neighbours(x, 20)
+    values = np.array(values)
+    values = np.concatenate((values, -values))
+    assert _repr_texts(values) == _json_texts(values)
+    # the kernel takes the narrower gap below a power of two into account; only 2^-25, whose
+    # 17 digits are an exact tie (29802322387695312.5), is left to Python
+    powers = np.ldexp(1.0, np.arange(-660, 51))
+    assert np.array_equal(csvtext.slots(powers, shortest=True)[1], powers == 2.0 ** -25)
+
+
+def test_repr_kernel_matches_repr_on_1_to_17_significant_digits():
+    rng = np.random.default_rng(23)
+    values = []
+    for digits in range(1, 18):
+        mantissas = rng.integers(10 ** (digits - 1), 10 ** digits, 3000)
+        exponents = rng.integers(-215, 215, 3000)
+        values += [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    values = np.array(values)
+    values = np.concatenate((values, -values))
+    assert _repr_texts(values) == _json_texts(values)
+
+
+def _arrays(shape):
+    size = math.prod(shape)
+    return st.lists(NASTY_FLOATS, min_size=size, max_size=size).map(
+        lambda cells: np.array(cells, dtype=float).reshape(shape))
+
+
+ARRAYS = st.lists(st.integers(0, 3), min_size=1, max_size=3).flatmap(_arrays)
+VALUES = st.one_of(ARRAYS, JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), st.one_of(
+    VALUES, st.dictionaries(st.text(max_size=3), VALUES, max_size=3)), max_size=4))
+def test_dump_json_is_the_stdlib_indent_2_text(doc):
+    def listed(value):
+        if isinstance(value, dict):
+            return {key: listed(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    out = io.StringIO()
+    csvtext.dump_json(doc, out)
+    assert out.getvalue() == json.dumps(listed(doc), indent=2)

@@ -2,6 +2,7 @@ import ast
 import io
 import itertools
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlevel_rabi
+from nlevel_rabi import csvtext
 from nlevel_rabi.model import (
     ConfigError,
     LevelSpec,
@@ -344,16 +346,51 @@ def test_to_csv_is_the_percent_17g_text(rows, n, data):
     assert out.getvalue() == "".join(line + "\n" for line in lines)
 
 
-def test_to_json_writes_rows_in_blocks_with_the_stdlib_text(tmp_path):
-    # 600 rows: three 256-row blocks, so the separators between blocks are checked too
+def test_to_json_writes_rows_in_blocks_with_the_stdlib_text(tmp_path, monkeypatch):
+    # 600 rows of 3 levels: 6,000 cells, which the kernel takes in four blocks of about 1,900,
+    # so blocks end inside rows and inside arrays, and the separators there are checked too
+    passes, slots = [], csvtext.slots
+
+    def counted(x, shortest):
+        passes.append(len(x))
+        return slots(x, shortest)
+
+    monkeypatch.setattr(csvtext, "slots", counted)
     rng = np.random.default_rng(3)
     traj = Trajectory(np.linspace(0.0, 6.0, 600), rng.normal(size=(600, 3)) + 1j)
     path = tmp_path / "traj.json"
     traj.to_json(path, config={"g": 0.1})
+    assert len(passes) >= 2 and sum(passes) == 6000
     doc = {"config": {"g": 0.1}, "times": traj.times.tolist(),
            "states": [[[z.real, z.imag] for z in row] for row in traj.states.tolist()],
            "populations": traj.populations.tolist()}
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_to_json_holds_one_block_of_temporaries_at_a_time():
+    class Sink:  # counts the text, keeps none of it; memory is traced from the first write on
+        size, start = 0, None
+
+        def write(self, text):
+            if self.start is None:  # the populations are made, no cell is written yet
+                tracemalloc.reset_peak()
+                self.start = tracemalloc.get_traced_memory()[0]
+            self.size += len(text)
+
+    rows = 200_000
+    rng = np.random.default_rng(5)
+    traj = Trajectory(np.linspace(0.0, 1.0, rows), rng.normal(size=(rows, 2)).view(complex))
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        traj.to_json(sink)
+        peak = tracemalloc.get_traced_memory()[1] - sink.start
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 20 * 4 * rows
+    # one block's temporaries take about 2^20 bytes, two would pass 2^21; the 800,000 cells
+    # at about 512 bytes each would take 400 MB at once
+    assert peak < 1.5 * 2 ** 20, peak
 
 
 def test_rwa_vs_cosine_drive_weak_coupling():
