@@ -438,10 +438,12 @@ SWEEP_KEYS = tuple(f"{sec}.{key}" for key, (sec, *_) in RUN_KEYS.items() if key 
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_KEYS:
         raise ConfigError(f"cannot sweep {args.param!r}; sweepable keys: {', '.join(SWEEP_KEYS)}")
+    key = args.param.partition(".")[2]
+    if getattr(args, key) is not None:
+        raise ConfigError(f"--{key.replace('_', '-')} sets {args.param!r}, which --values sweeps")
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     base = load_config(args.config, _flag_overrides(args))
-    key = args.param.partition(".")[2]
     values = args.values.replace(",", " ").split()
     if not values:
         raise ConfigError(f"--values {args.values!r} holds no values")

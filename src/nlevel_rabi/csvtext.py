@@ -1,5 +1,7 @@
 """Text of float64 arrays in numpy, byte for byte: ``"%.17g" % x`` for CSV, ``repr(x)`` for JSON.
 
+JSON's layout is ``json.dumps``'s own text; the kernel writes only the cells of its arrays.
+
 A nonzero |x| in [1e-200, 1e200] has the decimal exponent E = floor(log10 |x|), and
 V = |x| 10^(16 - E) = w + frac is formed as a double-double: Dekker's exact product of
 |x| and the correctly rounded 10^k, plus |x| times the rounded rest of 10^k, within 1e-14
@@ -50,8 +52,7 @@ _ZERO = _E_MAX - _E_MIN + 1  # the template of zero, after the one of each expon
 _NEVER = 127  # keep rank of a byte never kept; a byte of rank r is kept when r <= m
 # a block's temporaries take about 512 bytes a cell; a block holds the cells that fit 2^20
 _BLOCK_BYTES, _CELL_BYTES = 2 ** 20, 512
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's non-finite floats
-_END = "\x01"  # the separator after an array's last cell; never part of a cell's text
+_END = "\x01"  # the separator after an array's last cell, and _brackets's cells; in no cell's text
 
 
 def lines(table):
@@ -70,26 +71,42 @@ def lines(table):
 def dump_json(doc, fh):
     """Write ``json.dumps(doc, indent=2)`` to the text stream ``fh``, byte for byte.
 
-    Values of ``doc``, and of the str-keyed dicts in it, may be float64 ndarrays: an
-    array is written as its nested lists, every cell in repr's spelling (``NaN`` and
-    ``Infinity`` where not finite).  The cells of all arrays go through the kernel
-    together, a block at a time, each followed by its separator: a row of a small table,
-    picked by how many array axes the cell closes.  After an array's last cell the
-    separator is a marker, where the JSON text up to the next array's first cell is
-    written, so the table stays as narrow as the deepest separator.
+    Float64 ndarrays in ``doc`` are written as their nested lists, each cell in repr's
+    spelling (``NaN`` and ``Infinity`` where not finite).  ``json.dumps`` writes the layout,
+    each array with cells a hole in it: a marker string, salted until no string of ``doc``
+    spells it.  The kernel writes only the cells, of all arrays together, a block at a time,
+    each followed by its separator: a row of a small table, picked by how many array axes
+    the cell closes.  After an array's last cell it is _END, where the text up to the next
+    array's first cell is written.
     """
-    # texts[j] comes before array j and texts[-1] after the last; an array's span is (its
-    # first cell, its end, its cells, the table row of each cell of one top-level element)
-    texts, spans, rows, size = [""], [], [], 0
-    for piece in _pieces(doc, 0):
-        if isinstance(piece, str):
-            texts[-1] += piece
-        else:
-            cells, closes, seps = piece
-            spans.append((size, size + len(cells), cells, closes + len(rows)))
-            texts.append("")
-            rows += seps
-            size += len(cells)
+    def hole(value):
+        if isinstance(value, np.ndarray) and value.dtype == float:
+            if value.ndim and value.size:
+                arrays.append(value)
+                return marker
+            return value.tolist()
+        return json.JSONEncoder().default(value)  # json's own TypeError
+
+    for salt in itertools.count():
+        marker, arrays = f"\x01{salt}", []
+        # texts[j] comes before array j and texts[-1] after the last
+        texts = json.dumps(doc, indent=2, default=hole).split(json.dumps(marker))
+        if len(texts) == len(arrays) + 1:
+            break
+    # an array's span is (its first cell, its end, its cells, the table row of each cell of
+    # one top-level element)
+    spans, rows, size = [], [], 0
+    for j, cells in enumerate(arrays):
+        line = texts[j].rpartition("\n")[2]  # its hole's line, indented two spaces a level
+        opening, seps, closing = _brackets((len(line) - len(line.lstrip(" "))) // 2, cells.ndim)
+        texts[j] += opening
+        texts[j + 1] = closing + texts[j + 1]
+        closes = np.zeros(cells.size // len(cells), dtype=np.intp)
+        for n in itertools.accumulate(cells.shape[:0:-1], operator.mul):
+            closes[n - 1 :: n] += 1
+        spans.append((size, size + cells.size, cells.reshape(-1), closes + len(rows)))
+        rows += seps
+        size += cells.size
     width = max(map(len, rows), default=0)
     table = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows),
                           dtype=np.uint8).reshape(len(rows), width)
@@ -113,50 +130,18 @@ def dump_json(doc, fh):
             fh.write(part)
 
 
-def _pieces(value, depth):
-    """The JSON text of ``value`` at dict depth ``depth``: strings and, for each float64
-    array with cells, (its cells, how many axes each cell of one top-level element
-    closes, its separators)."""
-    if isinstance(value, dict) and _holds_array(value) and all(isinstance(k, str) for k in value):
-        for i, (key, item) in enumerate(value.items()):
-            yield ("," if i else "{") + _indent(depth + 1) + json.dumps(key) + ": "
-            yield from _pieces(item, depth + 1)
-        yield _indent(depth) + "}"
-    elif isinstance(value, np.ndarray) and value.dtype == float and value.ndim and value.size:
-        opening, seps, closing = _brackets(depth, value.ndim)
-        closes = np.zeros(value.size // len(value), dtype=np.intp)
-        for cells in itertools.accumulate(value.shape[:0:-1], operator.mul):
-            closes[cells - 1 :: cells] += 1
-        yield opening
-        yield value.reshape(-1), closes, seps
-        yield closing
-    else:
-        if isinstance(value, np.ndarray) and value.dtype == float:
-            value = value.tolist()
-        yield json.dumps(value, indent=2).replace("\n", _indent(depth))
-
-
-def _holds_array(value):
-    """Whether ``value`` is an ndarray or a dict with one at any depth."""
-    return isinstance(value, np.ndarray) or isinstance(value, dict) and any(
-        map(_holds_array, value.values()))
-
-
-def _indent(depth):
-    return "\n" + "  " * depth
-
-
 @functools.cache
 def _brackets(depth, k):
-    """(opening, separators, closing) of a k-axis array at dict depth ``depth``.
+    """(opening, separators, closing) of a k-axis array on a line of indent level ``depth``.
 
-    A cell that closes c < k axes is followed by separator c: c "]", a ",", and c "["
-    to the next cell; the last cell, which closes all k, by _END.
+    They are cut from the JSON text of a 2 x ... x 2 list of _END, whose cell 2^c - 1 is
+    followed by separator c, the text after a cell that closes c axes; the last cell,
+    which closes all k, by _END.
     """
-    opening = lambda c: "".join("[" + _indent(depth + k - c + 1 + j) for j in range(c))
-    closing = lambda c: "".join(_indent(depth + k - 1 - j) + "]" for j in range(c))
-    seps = [closing(c) + "," + _indent(depth + k - c) + opening(c) for c in range(k)] + [_END]
-    return opening(k), [sep.encode() for sep in seps], closing(k)
+    cube = functools.reduce(lambda inner, _: [inner, inner], range(k), _END)
+    text = json.dumps(cube, indent=2).replace("\n", "\n" + "  " * depth)
+    opening, *seps, closing = text.split(json.dumps(_END))
+    return opening, [seps[2 ** c - 1].encode() for c in range(k)] + [_END.encode()], closing
 
 
 def slots(x, shortest=False):
@@ -206,17 +191,12 @@ def slots(x, shortest=False):
     mask = keep.take(kind[int(shortest)].take(t) * 17 + last_nonzero, axis=0)
     mask[:, 0] = np.signbit(x)
     out *= mask
-    spell = _json_float if shortest else "%.17g".__mod__
+    spell = json.dumps if shortest else "%.17g".__mod__
     for i in np.flatnonzero(slow):
         text = spell(x[i]).encode()
         out[i, :45] = 0
         out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out, slow
-
-
-def _json_float(v):
-    text = float.__repr__(v)
-    return _JSON_WORDS.get(text, text)
 
 
 def _scaled(a, e, tables):

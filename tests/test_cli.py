@@ -513,6 +513,13 @@ REFUSED = {
     "default-section-key": (["evolve", "{cfg}"], {"fmt": "csv\n[DEFAULT]\ng = 0.2"}),
     "epsilon-n-4": (["evolve", "{cfg}", "--epsilon", "0.1"], {"energies": "0.0, 1.0, 2.0, 3.0"}),
     "output-is-a-directory": (["evolve", "{cfg}", "--output", "."], {}),
+    # a flag that sets the swept key, refused before --outdir is made
+    **{f"sweep-{param}-flag": (SWEEP[:3] + [param, "--values", values, flag, value] + SWEEP[6:], {})
+       for param, values, flag, value in [
+           ("drive.g", "0.2,0.3", "--g", "0.5"), ("run.t_max", "1,2", "--t-max", "3"),
+           ("run.solver", "exact,dyson1", "--solver", "dyson2"),
+           ("run.samples", "3,4", "--samples", "5"), ("run.initial", "0,1", "--initial", "2"),
+           ("run.format", "csv,json", "--format", "json")]},
     # a sweep with no values, refused before --outdir is made
     **{f"sweep-values-{name}": (SWEEP[:5] + [values] + SWEEP[6:], {})
        for name, values in [("empty", ""), ("comma", ","), ("space", " ")]},
@@ -533,6 +540,15 @@ def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, argv, config)
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "config"
     assert not outdir.exists()
+
+
+def test_sweep_refusal_of_a_flag_names_the_flag_and_the_param(tmp_path, capsys):
+    cfg = write_config(tmp_path, samples="3", t_max="2.0")
+    argv = ["sweep", cfg, "--param", "run.t_max", "--values", "1,2", "--t-max", "3", "--outdir",
+            str(tmp_path / "out")]
+    assert main(argv) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "--t-max" in message and "'run.t_max'" in message
 
 
 @pytest.mark.parametrize("extra_drive, named", [

@@ -4,8 +4,10 @@ break them, and the JSON writer against the stdlib's."""
 import io
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_propagate import JSON_VALUES, NASTY_FLOATS
@@ -124,19 +126,46 @@ def _arrays(shape):
         lambda cells: np.array(cells, dtype=float).reshape(shape))
 
 
+def _dicts(values):
+    return st.dictionaries(st.text(max_size=3), values, max_size=4)
+
+
 ARRAYS = st.lists(st.integers(0, 3), min_size=1, max_size=3).flatmap(_arrays)
-VALUES = st.one_of(ARRAYS, JSON_VALUES)
+# arrays in lists, beside other values, in lists of lists and in dicts in lists
+VALUES = st.one_of(ARRAYS, JSON_VALUES, st.lists(
+    st.one_of(ARRAYS, JSON_VALUES, st.lists(ARRAYS, max_size=2), _dicts(ARRAYS)), max_size=3))
+
+
+def _listed(value):
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(_listed, value))
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _dumped(doc):
+    out = io.StringIO()
+    csvtext.dump_json(doc, out)
+    return out.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.text(max_size=3), st.one_of(
-    VALUES, st.dictionaries(st.text(max_size=3), VALUES, max_size=3)), max_size=4))
+@given(_dicts(st.one_of(VALUES, _dicts(st.one_of(VALUES, _dicts(VALUES))))))  # dict depths 1-3
 def test_dump_json_is_the_stdlib_indent_2_text(doc):
-    def listed(value):
-        if isinstance(value, dict):
-            return {key: listed(item) for key, item in value.items()}
-        return value.tolist() if isinstance(value, np.ndarray) else value
+    assert _dumped(doc) == json.dumps(_listed(doc), indent=2)
 
-    out = io.StringIO()
-    csvtext.dump_json(doc, out)
-    assert out.getvalue() == json.dumps(listed(doc), indent=2)
+
+def test_dump_json_salts_its_holes_past_the_strings_of_the_doc():
+    # keys and strings that spell the first two markers, alone and after an escaped quote
+    doc = {"\x01": np.ones(2), "\x010": ["\x010", np.eye(2), '"\x011'], "a": {"\x011": "\x01"},
+           "b": [[np.zeros((1, 2))], "\x010"], "\x012": np.arange(3.0)}
+    assert _dumped(doc) == json.dumps(_listed(doc), indent=2)
+
+
+@pytest.mark.parametrize("value", [{1.0}, np.arange(3)], ids=["set", "int64-array"])
+def test_dump_json_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value)
+    with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+        _dumped({"a": np.ones(2), "b": [value]})
