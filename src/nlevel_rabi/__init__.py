@@ -35,7 +35,6 @@ from .dyson import (
     first_order_state_3,
 )
 from .propagate import (
-    DeviationReport,
     IntegratorConfig,
     NormRangeError,
     NumericFailure,

@@ -157,34 +157,43 @@ def _parse_initial(text: str, n: int) -> tuple:
     return tuple(StateVector.normalized(amps).amp)
 
 
+def _parsed(key: str, parse, text: str):
+    """parse(text); a ValueError of parse's own is refused as config, naming ``key``."""
+    try:
+        return parse(text)
+    except ConfigError:  # a ValueError too, with its own message
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _run_value(key: str, text: str, n: int):
     """Run key ``key`` of an n-level run from its text: a file key, a flag or a sweep value."""
     parse = RUN_KEYS[key][2]
-    try:
-        return parse(text, n) if key == "initial" else parse(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _parsed(key, functools.partial(parse, n=n) if key == "initial" else parse, text)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse the INI config, apply overrides (run key -> text), resolve frequencies."""
-    # no section header can name "", so [DEFAULT] is a section like any other (and refused)
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    # no section header can name "", so [DEFAULT] is a section like any other (and refused);
+    # values are read as written, '%' included
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="",
+                                       interpolation=None)
     ov = overrides or {}
-    unread = [f"[{section}]" for section in parser.sections() if section not in FILE_KEYS]
-    unread += [f"[{section}] {key}" for section in FILE_KEYS if parser.has_section(section)
-               for key in parser[section] if key not in FILE_KEYS[section]
-               and not (section == "drive" and key.startswith("omega_"))]
-    if unread:
-        raise ConfigError(f"config keys that no run reads: {', '.join(unread)}")
     try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        unread = [f"[{section}]" for section in parser.sections() if section not in FILE_KEYS]
+        unread += [f"[{section}] {key}" for section in FILE_KEYS if parser.has_section(section)
+                   for key in parser[section] if key not in FILE_KEYS[section]
+                   and not (section == "drive" and key.startswith("omega_"))]
+        if unread:
+            raise ConfigError(f"config keys that no run reads: {', '.join(unread)}")
         mode = parser.get("drive", "frequencies", fallback="resonant").strip().lower()
         if mode not in ("resonant", "explicit"):
             raise ConfigError("frequencies must be 'resonant' or 'explicit'")
-        energies = tuple(map(float, parser.get("levels", "energies").replace(",", " ").split()))
+        text = parser.get("levels", "energies").replace(",", " ")
+        energies = _parsed("energies", lambda t: tuple(map(float, t.split())), text)
         levels = LevelSpec(energies)
         run = {}
         for key, (section, fallback, *_) in RUN_KEYS.items():
@@ -204,7 +213,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                     raise ConfigError(f"frequency keys {spelled[pair]!r} and {key!r} both set "
                                       f"pair {pair}")
                 spelled[pair] = key
-                pair_keys[pair] = float(value)
+                pair_keys[pair] = _parsed(key, float, value)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -422,9 +431,7 @@ def cmd_compare(args) -> int:
             raise result
     from . import csvtext  # compiled on the first write, not at every start-up
 
-    report = compare(*trajs)
-    doc = {"solvers": solvers, "config": base.to_dict(),
-           "report": {**report.to_dict(), "table": report.table}}
+    doc = {"solvers": solvers, "config": base.to_dict(), "report": compare(*trajs)}
     with _opened(base.output if base.output is not None else sys.stdout) as fh:
         csvtext.dump_json(doc, fh)
         fh.write("\n")

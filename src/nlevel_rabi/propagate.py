@@ -8,7 +8,7 @@ drift stays visible as an error meter.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .model import ConfigError, HamiltonianFn, StateVector
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
-    "DeviationReport",
     "NumericFailure",
     "StepBudgetExceeded",
     "NormRangeError",
@@ -335,39 +334,15 @@ def expm_generic(m: np.ndarray) -> np.ndarray:
     return result
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Per-time and global deviations between two trajectories.
+def compare(traj_a: Trajectory, traj_b: Trajectory) -> dict:
+    """Deviation report document for two trajectories on the same time grid.
 
-    ``table`` columns: t, raw amplitude deviation, phase-aligned amplitude
-    deviation, population deviation.  The aligned column removes the global
-    phase that best matches the states at each time.  The three global maxima
-    are the largest entries of the three deviation columns.
+    ``table`` is a (rows, 4) float64 array whose ``columns`` are t, the raw
+    amplitude deviation, the phase-aligned amplitude deviation and the
+    population deviation.  The aligned column removes the global phase that best
+    matches the states at each time.  The document's first three keys hold the
+    largest entries of the three deviation columns.
     """
-
-    table: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        table = np.array(self.table, dtype=float)
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
-
-    max_amplitude_dev = property(lambda self: float(np.max(self.table[:, 1])))
-    max_aligned_amplitude_dev = property(lambda self: float(np.max(self.table[:, 2])))
-    max_population_dev = property(lambda self: float(np.max(self.table[:, 3])))
-
-    def to_dict(self) -> dict:
-        return {
-            "max_amplitude_dev": self.max_amplitude_dev,
-            "max_aligned_amplitude_dev": self.max_aligned_amplitude_dev,
-            "max_population_dev": self.max_population_dev,
-            "columns": ["t", "amp_dev", "aligned_amp_dev", "pop_dev"],
-            "table": self.table.tolist(),
-        }
-
-
-def compare(traj_a: Trajectory, traj_b: Trajectory) -> DeviationReport:
-    """Deviation report for two trajectories on the same time grid."""
     if not np.array_equal(traj_a.times, traj_b.times):  # False too when the shapes differ
         raise ConfigError("trajectories must share an identical time grid")
     a, b = traj_a.states, traj_b.states
@@ -380,4 +355,7 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> DeviationReport:
         np.max(np.abs(a - phase[:, None] * b), axis=1),
         np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2), axis=1),
     ))
-    return DeviationReport(table)
+    amp, aligned, pop = table[:, 1:].max(axis=0).tolist()
+    return {"max_amplitude_dev": amp, "max_aligned_amplitude_dev": aligned,
+            "max_population_dev": pop, "columns": ["t", "amp_dev", "aligned_amp_dev", "pop_dev"],
+            "table": table}

@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -523,14 +527,22 @@ REFUSED = {
     # a sweep with no values, refused before --outdir is made
     **{f"sweep-values-{name}": (SWEEP[:5] + [values] + SWEEP[6:], {})
        for name, values in [("empty", ""), ("comma", ","), ("space", " ")]},
+    # files configparser cannot read: a key or section given twice, a line before any section
+    # header, a line with no value, and bytes that are not text
+    **{f"unreadable-{name}": (["evolve", "{cfg}"], text) for name, text in [
+        ("repeated-key", "[levels]\nenergies = 0.0, 1.0\nenergies = 0.0, 2.0\n"),
+        ("repeated-section", "[levels]\nenergies = 0.0, 1.0\n[levels]\n"),
+        ("no-section-header", "energies = 0.0, 1.0\n"),
+        ("line-without-value", "[levels]\nenergies\n"),
+        ("not-text", b"[levels]\nenergies = \xff\n")]},
 }
 
 
 @pytest.mark.parametrize("argv, config", REFUSED.values(), ids=REFUSED.keys())
 def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, argv, config):
-    if isinstance(config, str):
+    if isinstance(config, (str, bytes)):
         cfg = tmp_path / "run.ini"
-        cfg.write_text(config)
+        (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
     else:
         cfg = write_config(tmp_path, **{"samples": "3", "t_max": "2.0", **config})
     outdir = tmp_path / "out"
@@ -573,6 +585,46 @@ def test_config_keys_no_run_reads_are_named_in_one_json_line(tmp_path, capsys):
     assert out == ""
     assert json.loads(err) == {"error": "config", "message": "config keys that no run reads: "
                                "[runn], [drive] frequency, [run] smaples, [run] fromat"}
+
+
+@pytest.mark.parametrize("name", ["run_100%.csv", "a%%b.csv"])
+def test_a_percent_sign_in_a_config_value_is_an_ordinary_character(tmp_path, name):
+    cfg = write_config(tmp_path, fmt=f"csv\noutput = {tmp_path / name}")
+    assert main(["evolve", cfg]) == 0
+    assert (tmp_path / name).read_text().startswith("t,re_0,")
+
+
+def test_an_interpolation_spelling_is_refused_naming_its_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, t_max="%(samples)s")
+    assert main(["evolve", cfg]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": "t_max: could not convert string to float: '%(samples)s'"}
+
+
+# id -> (argv, write_config keywords, key): a value that does not parse, refused naming its key
+UNPARSED = {
+    "samples-flag": (["evolve", "{cfg}", "--samples", "abc"], {}, "samples"),
+    "initial-flag": (["evolve", "{cfg}", "--initial", "1e400"], {}, "initial"),
+    "g-flag": (["evolve", "{cfg}", "--g", "abc"], {}, "g"),
+    "t-max-flag": (["evolve", "{cfg}", "--t-max", "x"], {}, "t_max"),
+    "energies-key": (["evolve", "{cfg}"], {"energies": "0, x, 2"}, "energies"),
+    "omega-key": (["evolve", "{cfg}"], {"extra_drive": "omega_0_2 = abc"}, "omega_0_2"),
+    "sweep-value": (SWEEP[:5] + ["0.1,abc"] + SWEEP[6:], {}, "g"),
+}
+
+
+@pytest.mark.parametrize("argv, config, key", UNPARSED.values(), ids=UNPARSED.keys())
+def test_a_value_that_does_not_parse_is_refused_naming_its_key(tmp_path, capsys, argv, config,
+                                                                key):
+    cfg = write_config(tmp_path, **{"samples": "3", "t_max": "2.0", **config})
+    outdir = tmp_path / "out"
+    assert main([a.format(cfg=cfg, out=outdir) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "config"
+    assert record["message"].startswith(f"{key}: "), record["message"]
+    assert not outdir.exists()
 
 
 def test_resonant_flag_replaces_adjacent_frequencies_of_an_explicit_file(tmp_path, capsys):
@@ -705,7 +757,7 @@ def test_compare_runs_two_rk4_legs_as_one_stack(tmp_path, monkeypatch):
     report = cli.compare(*(run_solver(replace(base, solver=name))
                            for name in ("numeric-rwa", "numeric-full")))
     doc = {"solvers": ["numeric-rwa", "numeric-full"], "config": base.to_dict(),
-           "report": report.to_dict()}
+           "report": {**report, "table": report["table"].tolist()}}
     assert stacked.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
@@ -1033,8 +1085,9 @@ def test_compare_legs_start_from_the_state_evolve_uses(tmp_path):
     solvers = ["numeric-rwa", "numeric-full"]
     assert main(["compare", cfg, "--solvers", ",".join(solvers), "--output", str(out)]) == 0
     solo = [run_solver(load_config(cfg, {"solver": name})) for name in solvers]
+    report = cli.compare(*solo)
     doc = {"solvers": solvers, "config": load_config(cfg, {"output": str(out)}).to_dict(),
-           "report": cli.compare(*solo).to_dict()}
+           "report": {**report, "table": report["table"].tolist()}}
     assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
@@ -1076,3 +1129,226 @@ def test_initial_state_is_normalised_once_and_kept_bit_for_bit(tmp_path, amps, s
     rebuilt = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert (_bits(rebuilt.initial) == expected).all()
     assert (_bits(replace(rebuilt, solver=solver).psi0.amp) == expected).all()
+
+
+
+# The CLI contract as one property.  A draw is INI text and argv from a small grammar: the
+# keys a run reads, with values it can use; unknown, misspelt and repeated keys; a missing
+# key; values from a nasty set; every subcommand, sweep values and compare pairs.  Each run
+# stays small: at most 11 samples, t_max at most 2 unless a nasty value sets it, --max-steps
+# of at most 1e5 whenever a run integrates, and --jobs at most 2.
+USABLE = {  # (section, key) -> values a run can use, on a three-level ladder
+    ("levels", "energies"): ["0, 1, 2", "0.0, 1.05, 2.1"],
+    ("drive", "g"): ["0.1", "1"],
+    ("drive", "frequencies"): ["resonant", "explicit"],
+    ("drive", "omega_0_1"): ["1.0", "1.05"],
+    ("drive", "omega_1_2"): ["1.0", "1.05"],
+    ("drive", "omega_0_2"): ["2.0", "2.1", "2.3"],
+    ("run", "solver"): list(SOLVER_TABLE),
+    ("run", "t_max"): ["0.5", "2"],
+    ("run", "samples"): ["2", "5", "11"],
+    ("run", "initial"): ["0", "2", "1, 1j, 0"],
+    ("run", "output"): ["", "{tmp}/run 100%.out", "{tmp}/a%%b.out", "{tmp}/%(g)s.out"],
+    ("run", "format"): ["csv", "json"],
+}
+OPTIONS = {  # flag -> values a run can use (None: the flag takes no value)
+    **{f"--{key.replace('_', '-')}": values for (_, key), values in USABLE.items()
+       if key in RUN_KEYS},
+    "--step": ["1e-3", "0.05"], "--epsilon": ["0.1", "-0.2"], "--resonant": [None],
+    "--max-steps": ["1", "50", "3000", "100000"], "--jobs": ["1", "2"], "--n": ["2", "3", "6"],
+}
+ACCEPTS = {  # command -> the flags it reads, but for --max-steps and its own arguments
+    "evolve": ["--solver", "--g", "--t-max", "--samples", "--initial", "--output", "--format",
+               "--step", "--resonant", "--epsilon"],
+    "exact-check": ["--resonant", "--epsilon"],
+    "compare": ["--g", "--t-max", "--samples", "--initial", "--output", "--step", "--resonant",
+                "--epsilon"],
+    "sweep": ["--solver", "--g", "--t-max", "--samples", "--initial", "--format", "--step",
+              "--resonant", "--epsilon"],
+}
+NASTY = ["0", "-0.0", "5e-324", "-2.5e-320", "1e308", "-1e308", "nan", "inf", "-inf",
+         str(2 ** 63), str(10 ** 30), "abc", "1e400", "0x10", "%", "%(g)s"]
+# the nasty values of keys whose large values would start a long run or many threads
+NASTY_FOR = {"output": ["{tmp}", "{tmp}/missing/x.out", "{tmp}/x%"],
+             "max_steps": ["0", "-1", "abc", "2.5"], "jobs": ["0", "-1", "x", "1.5"]}
+# values no parser reads, by the kind of value a key holds (a float unless KIND says)
+UNPARSABLE = {"float": ["abc", "1e", "0x10", "%(g)s"], "int": ["abc", "2.5", "1e3", "%"],
+              "initial": ["abc", "1e400", "1, abc, 0", "%(g)s"],
+              "energies": ["0, x, 2", "abc", "0, 1, %(g)s"], "name": ["abc", "%", "%(g)s"]}
+KIND = {"energies": "energies", "initial": "initial", "samples": "int", "max_steps": "int",
+        "jobs": "int", "n": "int", "solver": "name", "format": "name", "frequencies": "name"}
+# INI lines no usable file holds: unknown, misspelt, repeated and adjacent keys, unknown
+# sections and a line without a value
+STRAY_LINES = [("run", "smaples = 5"), ("run", "step = 1e-3"), ("drive", "frequency = explicit"),
+               ("runn", ""), ("DEFAULT", "g = 0.2"), ("levels", "energies = 0, 1, 2"),
+               ("drive", "omega_0_1 = 1.0"), ("drive", "omega_00_2 = 2.0"),
+               ("drive", "omega_0_x = 2.0"), ("drive", "omega_2_0 = 2.0"),
+               ("drive", "omega_0_2_3 = 2.0"), ("run", "novalue")]
+# flags no command reads, flags a command may not read, and ones that repeat a drawn flag
+STRAY_FLAGS = [["--smaples", "5"], ["-o", "{tmp}/x"], ["--bogus"], ["--solver", "exact"],
+               ["--jobs", "1"], ["--format", "csv"], ["--max-steps", "10"]]
+
+
+def _last(argv, flag):
+    """The value of the last ``flag`` in argv, or None."""
+    values = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg == flag]
+    return values[-1] if values else None
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@st.composite
+def cli_draws(draw):
+    """(INI {(section, key): text}, stray INI lines, argv, names).
+
+    A clean draw holds usable values but one, which no parser reads; ``names`` are its key
+    and the flag a refusal of it may name instead.  Any other draw (``names`` None) has up to
+    two faults: a missing key, a stray INI line, a stray flag or a nasty value.  argv holds
+    "{cfg}" for the INI file, and it and the INI values hold "{tmp}" for a scratch directory.
+    """
+    command = draw(st.sampled_from(["spectrum", *ACCEPTS]))
+    clean = draw(st.booleans())
+    faults = [] if clean else draw(st.lists(st.sampled_from(["key", "line", "flag", "value"]),
+                                            max_size=2))
+    ini = {key: draw(st.sampled_from(values)) for key, values in USABLE.items()}
+    # every pair under explicit frequencies, and none but a non-adjacent one else
+    if ini[("drive", "frequencies")] == "resonant":
+        del ini[("drive", "omega_0_1")], ini[("drive", "omega_1_2")]
+        if draw(st.booleans()):
+            del ini[("drive", "omega_0_2")]
+    missing = [k for k in ini if k[1] != "samples"]  # no run of the default 101 samples
+    for key in draw(st.sets(st.sampled_from(missing), min_size=faults.count("key"),
+                            max_size=faults.count("key"))):
+        del ini[key]
+    stray_lines = draw(st.lists(st.sampled_from(STRAY_LINES), min_size=faults.count("line"),
+                                max_size=faults.count("line")))
+    argv = [command] if command == "spectrum" else [command, "{cfg}"]
+    argv += [arg for flag in draw(st.lists(st.sampled_from(STRAY_FLAGS),
+                                           min_size=faults.count("flag"),
+                                           max_size=faults.count("flag"))) for arg in flag]
+    flags = [] if command == "spectrum" else draw(
+        st.lists(st.sampled_from(ACCEPTS[command]), unique=True, max_size=3))
+    for flag in flags:
+        value = draw(st.sampled_from(OPTIONS[flag]))
+        argv += [flag] if value is None else [flag, value]
+    lists = {}  # a flag whose value is a comma-separated list -> its items
+    if command == "spectrum":
+        argv += ["--n", draw(st.sampled_from(OPTIONS["--n"]))]
+    elif command == "compare":
+        lists["--solvers"] = draw(st.lists(st.sampled_from(list(SOLVER_TABLE)), min_size=2,
+                                           max_size=2))
+    elif command == "sweep":
+        # a key no drawn flag sets; a stray flag may set it
+        param = draw(st.sampled_from([p for p in SWEEP_KEYS
+                                      if _flag(p.split(".")[1]) not in argv[2:]]))
+        usable = [v for v in USABLE[tuple(param.split("."))] if "," not in v]
+        lists["--values"] = draw(st.lists(st.sampled_from(usable), min_size=1, max_size=3))
+        argv += ["--param", param, "--outdir", "{tmp}/sweep",
+                 "--jobs", draw(st.sampled_from(OPTIONS["--jobs"]))]
+    # no RK4 run without a small step budget: its solvers are compare's pair, the swept
+    # solvers, or the last --solver, the file's or the default
+    solvers = [_last(argv, "--solver") or ini.get(("run", "solver"), "numeric-rwa")]
+    if command == "compare" or _last(argv, "--param") == "run.solver":
+        solvers = next(iter(lists.values()))
+    if command != "exact-check" and {"numeric-rwa", "numeric-full"} & set(solvers):
+        argv += ["--max-steps", draw(st.sampled_from(OPTIONS["--max-steps"]))]
+
+    # the values that can be spoilt: (where, its key, and the flag a refusal may name instead)
+    spots = [(("ini", key), key[1], key[1]) for key in ini
+             if command != "spectrum" and _flag(key[1]) not in argv]
+    spots += [(("argv", i + 1), flag[2:].replace("-", "_"), flag)
+              for i, flag in enumerate(argv[:-1]) if OPTIONS.get(flag, [None]) != [None]]
+    for flag, items in lists.items():
+        key = "solver" if flag == "--solvers" else _last(argv, "--param").split(".")[1]
+        spots += [(("list", flag, j), key, flag) for j in range(len(items))]
+    if clean:
+        where, *names = draw(st.sampled_from([spot for spot in spots if spot[1] != "output"]))
+        spoilt = [(where, draw(st.sampled_from(UNPARSABLE[KIND.get(names[0], "float")])))]
+    else:
+        names, count = None, faults.count("value")
+        spoilt = [(where, draw(st.sampled_from(NASTY_FOR.get(key, NASTY)))) for where, key, _
+                  in draw(st.lists(st.sampled_from(spots), min_size=count, max_size=count))]
+    for where, value in spoilt:
+        if where[0] == "ini":
+            ini[where[1]] = value
+        elif where[0] == "argv":
+            argv[where[1]] = value
+        else:
+            lists[where[1]][where[2]] = value
+    for flag, items in lists.items():
+        argv += [flag, ",".join(items)]
+    return ini, stray_lines, argv, names
+
+
+def _finite_rows(text, fmt, n):
+    """The rows of an evolve trajectory in CSV or JSON text, each checked finite and n wide."""
+    if fmt == "csv":
+        header, *rows = text.splitlines()
+        table = np.array([row.split(",") for row in rows], dtype=float).reshape(len(rows), -1)
+        assert len(header.split(",")) == table.shape[1] == 1 + 3 * n
+    else:
+        doc = json.loads(text)
+        table = np.column_stack([doc["times"], np.reshape(doc["states"], (-1, 2 * n)),
+                                 doc["populations"]])
+    assert np.isfinite(table).all()
+    return len(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_draws())
+def test_the_cli_keeps_its_contract(drawn):
+    ini, stray_lines, argv, names = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        sections = {"levels": [], "drive": [], "run": []}
+        for (section, key), value in ini.items():
+            sections[section].append(f"{key} = {value}")
+        for section, line in stray_lines:
+            sections.setdefault(section, []).append(line)
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text("".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                               for section, lines in sections.items()).replace("{tmp}", tmp))
+        argv = [arg.replace("{cfg}", str(cfg)).replace("{tmp}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        command = argv[0]
+        assert code in (0, 2, 3, 4)
+        if names is not None:
+            assert code == 2
+        if code == 3 and command == "exact-check":  # its report, on stdout
+            assert err == "" and json.loads(out)["satisfied"] is False
+        elif code:
+            assert out == "" and len(err.splitlines()) == 1, err
+            record = json.loads(err)
+            assert record["error"] in cli.RUN_FAILURES
+            if names is not None:
+                assert record["error"] == "config"
+                assert any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", record["message"])
+                           for name in names), (names, record["message"])
+        elif command in ("evolve", "compare"):
+            samples = int(_last(argv, "--samples") or ini[("run", "samples")])
+            output = _last(argv, "--output")
+            output = ini.get(("run", "output"), "") if output is None else output
+            text = Path(output.replace("{tmp}", tmp)).read_text() if output else out
+            if command == "evolve":  # every ladder a run can use has three levels
+                fmt = _last(argv, "--format") or ini.get(("run", "format"), "csv")
+                assert _finite_rows(text, fmt, 3) == samples
+            else:
+                report = json.loads(text)["report"]
+                assert np.shape(report["table"]) == (samples, 4)
+                assert np.isfinite(report["table"]).all()
+        elif command == "sweep":
+            runs = json.loads((Path(tmp) / "sweep" / "manifest.json").read_text())["runs"]
+            assert len(runs) == len(_last(argv, "--values").replace(",", " ").split())
+            assert all(run["status"] == "ok" for run in runs)
+        elif command == "spectrum":
+            rows = [row.split() for row in out.splitlines() if not row.startswith("#")]
+            assert len(rows) == 2 * int(_last(argv, "--n"))
+            assert np.isfinite(np.array([float(x) for row in rows for x in row])).all()
+        else:
+            assert json.loads(out)["satisfied"] is True

@@ -24,7 +24,6 @@ from nlevel_rabi.model import (
     transformed_hamiltonian,
 )
 from nlevel_rabi.propagate import (
-    DeviationReport,
     IntegratorConfig,
     NormRangeError,
     NumericFailure,
@@ -185,9 +184,9 @@ def test_compare_identical_is_zero():
     states = np.exp(1j * np.outer(grid, [1.0, 2.0])) / np.sqrt(2)
     traj = Trajectory(grid, states)
     report = compare(traj, traj)
-    assert report.max_amplitude_dev == 0.0
-    assert report.max_aligned_amplitude_dev == 0.0
-    assert report.max_population_dev == 0.0
+    assert report["max_amplitude_dev"] == 0.0
+    assert report["max_aligned_amplitude_dev"] == 0.0
+    assert report["max_population_dev"] == 0.0
 
 
 def test_compare_global_phase_alignment():
@@ -195,9 +194,9 @@ def test_compare_global_phase_alignment():
     states = np.tile(np.array([1.0, 1j]) / np.sqrt(2), (4, 1))
     shifted = np.exp(1j * 0.7) * states
     report = compare(Trajectory(grid, states), Trajectory(grid, shifted))
-    assert report.max_amplitude_dev > 0.1
-    assert report.max_aligned_amplitude_dev < 1e-14
-    assert report.max_population_dev < 1e-15
+    assert report["max_amplitude_dev"] > 0.1
+    assert report["max_aligned_amplitude_dev"] < 1e-14
+    assert report["max_population_dev"] < 1e-15
 
 
 def _reference_compare_table(traj_a, traj_b):
@@ -224,7 +223,7 @@ def test_compare_matches_per_row_loop(n):
     b[7] = 0.0
     a[9], b[9] = np.eye(n)[0], np.eye(n)[1]  # orthogonal: zero overlap, so phase 1
     grid = np.linspace(0.0, 10.0, 101)
-    table = compare(Trajectory(grid, a), Trajectory(grid, b)).table
+    table = compare(Trajectory(grid, a), Trajectory(grid, b))["table"]
     ref = _reference_compare_table(Trajectory(grid, a), Trajectory(grid, b))
     np.testing.assert_array_equal(table[:, [0, 1, 3]], ref[:, [0, 1, 3]])
     # the overlaps are summed in another order
@@ -241,21 +240,24 @@ def test_compare_grid_mismatch():
 def test_deviation_report_dict():
     grid = np.linspace(0, 1, 3)
     states = np.tile(np.array([1.0, 0.0], dtype=complex), (3, 1))
-    report = compare(Trajectory(grid, states), Trajectory(grid, states))
-    d = report.to_dict()
+    d = compare(Trajectory(grid, states), Trajectory(grid, states))
+    assert list(d) == ["max_amplitude_dev", "max_aligned_amplitude_dev", "max_population_dev",
+                       "columns", "table"]
     assert d["columns"] == ["t", "amp_dev", "aligned_amp_dev", "pop_dev"]
-    assert len(d["table"]) == 3
+    assert d["table"].shape == (3, 4) and d["table"].dtype == np.float64
 
 
 def test_deviation_report_maxima_are_its_table_column_maxima():
-    table = [[0.0, 0.3, 0.1, 0.2], [1.0, 0.5, 0.0, 0.4], [2.0, 0.2, 0.7, 0.0]]
-    report = DeviationReport(table)
-    assert (report.max_amplitude_dev, report.max_aligned_amplitude_dev,
-            report.max_population_dev) == (0.5, 0.7, 0.4)
-    assert report.to_dict() == {"max_amplitude_dev": 0.5, "max_aligned_amplitude_dev": 0.7,
-                                "max_population_dev": 0.4,
-                                "columns": ["t", "amp_dev", "aligned_amp_dev", "pop_dev"],
-                                "table": table}
+    grid = np.linspace(0, 1, 3)
+    a = np.array([[1.0, 0.0], [1.0, 0.0], [0.6, 0.8]], dtype=complex)
+    b = np.array([[0.6, 0.8], [-1.0, 0.0], [0.6, -0.8]], dtype=complex)
+    report = compare(Trajectory(grid, a), Trajectory(grid, b))
+    maxima = [report[k] for k in ("max_amplitude_dev", "max_aligned_amplitude_dev",
+                                  "max_population_dev")]
+    assert all(type(m) is float for m in maxima)
+    assert maxima == [float(np.max(report["table"][:, col])) for col in (1, 2, 3)]
+    # each maximum sits in a different row, so none is read off a single row
+    assert len({int(np.argmax(report["table"][:, col])) for col in (1, 2, 3)}) == 3
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
