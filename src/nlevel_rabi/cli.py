@@ -110,6 +110,10 @@ class RunConfig:
         if 16 * self.samples * levels.n > np.iinfo(np.intp).max:  # numpy cannot size the grid
             raise MemoryError(f"Unable to allocate {16.0 * self.samples * levels.n:.3g} bytes "
                               f"for {self.samples} samples of {levels.n} amplitudes")
+        spacing = self.t_max / (self.samples - 1)  # samples is sized above: no overflow
+        if spacing < np.finfo(float).tiny:  # a normal spacing repeats no time
+            raise ConfigError(f"t_max / (samples - 1) = {spacing:.3g} is below the smallest "
+                              "normal float, so sample times may repeat")
         integrator = None
         if SOLVER_TABLE[self.solver] is _solve_numeric:
             # a step of 0.1 over the fastest rate (at most 1e-3) unless overridden
@@ -149,20 +153,18 @@ def _parse_initial(text: str, n: int) -> tuple:
     if len(parts) == 1 and "." not in text and "j" not in text:
         k = int(text)
         if not 0 <= k < n:
-            raise ConfigError(f"initial level index {k} out of range for n={n}")
+            raise ConfigError(f"level index {k} out of range for n={n}")
         return tuple(float(i == k) for i in range(n))
     amps = tuple(complex(p.replace(" ", "")) for p in parts)
     if len(amps) != n:
-        raise ConfigError(f"initial amplitude list must have {n} entries")
+        raise ConfigError(f"amplitude list must have {n} entries")
     return tuple(StateVector.normalized(amps).amp)
 
 
-def _parsed(key: str, parse, text: str):
-    """parse(text); a ValueError of parse's own is refused as config, naming ``key``."""
+def _parsed(key: str, parse, text):
+    """parse(text); a ValueError it raises, ConfigError too, is refused naming ``key``."""
     try:
         return parse(text)
-    except ConfigError:  # a ValueError too, with its own message
-        raise
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -194,7 +196,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError("frequencies must be 'resonant' or 'explicit'")
         text = parser.get("levels", "energies").replace(",", " ")
         energies = _parsed("energies", lambda t: tuple(map(float, t.split())), text)
-        levels = LevelSpec(energies)
+        levels = _parsed("energies", LevelSpec, energies)
         run = {}
         for key, (section, fallback, *_) in RUN_KEYS.items():
             text = ov.get(key, parser.get(section, key, fallback=fallback))

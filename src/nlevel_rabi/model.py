@@ -109,12 +109,15 @@ class DriveSpec:
         if not 0 < self.g < np.inf:
             raise ConfigError("coupling g must be positive and finite")
         om = {(int(i), int(j)): float(w) for (i, j), w in dict(self.omega).items()}
-        if set(om) != set(_pairs(self.n)):
-            raise ConfigError(
-                "omega must hold exactly one frequency per pair (i, j) with i < j"
-            )
-        if not all(0 < w < np.inf for w in om.values()):
-            raise ConfigError("drive frequencies must be positive and finite")
+        pairs = _pairs(self.n)
+        odd = [f"missing omega_{i}_{j}" for i, j in pairs if (i, j) not in om]
+        odd += [f"unexpected omega_{i}_{j}" for i, j in sorted(set(om) - set(pairs))]
+        if odd:
+            raise ConfigError("omega must hold exactly one frequency per pair (i, j) with i < j: "
+                              + ", ".join(odd))
+        bad = [f"omega_{i}_{j}" for (i, j), w in sorted(om.items()) if not 0 < w < np.inf]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)}: drive frequencies must be positive and finite")
         object.__setattr__(self, "omega", dict(sorted(om.items())))
 
     @property
@@ -307,7 +310,7 @@ def apply_resonance(levels: LevelSpec, g: float, *, rwa: bool = True,
     if nonadjacent:
         for (i, j), w in dict(nonadjacent).items():
             if j - i < 2:
-                raise ConfigError("only pairs with j - i >= 2 may be overridden")
+                raise ConfigError(f"omega_{i}_{j}: only pairs with j - i >= 2 may be overridden")
             omega[(int(i), int(j))] = float(w)
     return DriveSpec(n=levels.n, omega=omega, g=g, rwa=rwa)
 

@@ -627,6 +627,76 @@ def test_a_value_that_does_not_parse_is_refused_naming_its_key(tmp_path, capsys,
     assert not outdir.exists()
 
 
+TINY_SPACING = ("t_max / (samples - 1) = 0 is below the smallest normal float, so sample times "
+                "may repeat")
+# id -> (argv, write_config keywords, message): a value that parses but is out of range,
+# refused naming its key
+OUT_OF_RANGE = {
+    "one-level": (["evolve", "{cfg}"], {"energies": "0"}, "energies: need at least two levels"),
+    "merged-levels": (["evolve", "{cfg}"], {"energies": "0, 0, 1"},
+                      "energies: energies must be strictly increasing"),
+    "zero-omega": (["evolve", "{cfg}"], {"extra_drive": "omega_0_2 = 0"},
+                   "omega_0_2: drive frequencies must be positive and finite"),
+    "nan-omegas": (["evolve", "{cfg}"], {"frequencies": "explicit", "extra_drive":
+                                         "omega_0_1 = nan\nomega_1_2 = 1\nomega_0_2 = -1"},
+                   "omega_0_1, omega_0_2: drive frequencies must be positive and finite"),
+    "explicit-pairs": (["evolve", "{cfg}"], {"frequencies": "explicit", "extra_drive":
+                                             "omega_0_1 = 1\nomega_2_0 = 2"},
+                       "omega must hold exactly one frequency per pair (i, j) with i < j: "
+                       "missing omega_0_2, missing omega_1_2, unexpected omega_2_0"),
+    "adjacent-override": (["evolve", "{cfg}"], {"extra_drive": "omega_1_2 = 1"},
+                          "omega_1_2: only pairs with j - i >= 2 may be overridden"),
+    "nan-initial": (["evolve", "{cfg}"], {"initial": "nan, 0, 0"},
+                    "initial: amplitudes must be finite"),
+    "zero-initial": (["evolve", "{cfg}"], {"initial": "0, 0, 0"},
+                     "initial: cannot normalize the zero vector"),
+    "short-initial": (["evolve", "{cfg}", "--initial", "1, 0"], {},
+                      "initial: amplitude list must have 3 entries"),
+    "initial-index": (["sweep", "{cfg}", "--param", "run.initial", "--values", "0,5",
+                       "--outdir", "{out}"], {}, "initial: level index 5 out of range for n=3"),
+    "tiny-t-max-exact": (["evolve", "{cfg}", "--t-max", "5e-324", "--samples", "5"], {},
+                         TINY_SPACING),
+    "tiny-t-max-rk4": (["evolve", "{cfg}", "--t-max", "5e-324", "--samples", "5", "--solver",
+                        "numeric-rwa"], {}, TINY_SPACING),
+    "tiny-t-max-sweep": (["sweep", "{cfg}", "--param", "run.t_max", "--values", "1,5e-324",
+                          "--outdir", "{out}"], {}, TINY_SPACING),
+}
+
+
+@pytest.mark.parametrize("argv, config, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_a_value_out_of_range_is_refused_naming_its_key(tmp_path, capsys, argv, config, message):
+    cfg = write_config(tmp_path, **{"samples": "3", "t_max": "2.0", **config})
+    outdir = tmp_path / "out"
+    assert main([a.format(cfg=cfg, out=outdir) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "config", "message": message}
+    assert not outdir.exists()
+
+
+TINY = np.finfo(float).tiny
+RESONANT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0}
+
+
+# t_max anywhere in the finite range, and near the smallest normal spacing of its samples
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 4).flatmap(lambda samples: st.tuples(st.just(samples), st.one_of(
+    st.floats(0.0, exclude_min=True, allow_infinity=False),
+    st.floats(0.25, 4.0).map(lambda f: f * TINY * (samples - 1))))))
+def test_an_accepted_grid_never_repeats_a_time(drawn):
+    samples, t_max = drawn
+    try:
+        RunConfig(energies=(0.0, 1.0, 2.0), g=0.1, omega=RESONANT, solver="exact", t_max=t_max,
+                  samples=samples, initial=(1.0, 0.0, 0.0))
+    except ConfigError as exc:
+        assert str(exc).startswith("t_max / (samples - 1) = ")
+        assert t_max / (samples - 1) < TINY
+        return
+    with np.errstate(over="ignore"):  # linspace's last time may overflow before it is set to t_max
+        grid = np.linspace(0.0, t_max, samples)
+    assert (np.diff(grid) > 0).all()
+
+
 def test_resonant_flag_replaces_adjacent_frequencies_of_an_explicit_file(tmp_path, capsys):
     cfg = write_config(tmp_path, frequencies="explicit",
                        extra_drive="omega_0_1 = 1.3\nomega_1_2 = 0.8\nomega_0_2 = 2.1")
@@ -967,7 +1037,7 @@ def test_non_finite_initial_state_is_one_json_line_and_no_warning(tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err) == {"error": "config", "message": "amplitudes must be finite"}
+    assert json.loads(err) == {"error": "config", "message": "initial: amplitudes must be finite"}
 
 
 def _cannot_allocate(*args):
@@ -1134,9 +1204,10 @@ def test_initial_state_is_normalised_once_and_kept_bit_for_bit(tmp_path, amps, s
 
 # The CLI contract as one property.  A draw is INI text and argv from a small grammar: the
 # keys a run reads, with values it can use; unknown, misspelt and repeated keys; a missing
-# key; values from a nasty set; every subcommand, sweep values and compare pairs.  Each run
-# stays small: at most 11 samples, t_max at most 2 unless a nasty value sets it, --max-steps
-# of at most 1e5 whenever a run integrates, and --jobs at most 2.
+# key; values from a nasty set; one value that does not parse or is out of range; every
+# subcommand, sweep values and compare pairs.  Each run stays small: at most 11 samples,
+# t_max at most 2 unless a nasty value sets it, --max-steps of at most 1e5 whenever a run
+# integrates, and --jobs at most 2.
 USABLE = {  # (section, key) -> values a run can use, on a three-level ladder
     ("levels", "energies"): ["0, 1, 2", "0.0, 1.05, 2.1"],
     ("drive", "g"): ["0.1", "1"],
@@ -1177,6 +1248,10 @@ UNPARSABLE = {"float": ["abc", "1e", "0x10", "%(g)s"], "int": ["abc", "2.5", "1e
               "energies": ["0, x, 2", "abc", "0, 1, %(g)s"], "name": ["abc", "%", "%(g)s"]}
 KIND = {"energies": "energies", "initial": "initial", "samples": "int", "max_steps": "int",
         "jobs": "int", "n": "int", "solver": "name", "format": "name", "frequencies": "name"}
+# values that parse but are out of range, by key (every omega_i_j key shares one list)
+OUT_OF_RANGE_FOR = {"energies": ["0", "0, 0, 1", "0, 1, inf"], "omega": ["0", "-1", "inf", "nan"],
+                    "initial": ["nan, 0, 0", "0, 0, 0", "3"], "g": ["0", "inf"],
+                    "t_max": ["0", "inf", "5e-324"], "samples": ["1"], "step": ["0"]}
 # INI lines no usable file holds: unknown, misspelt, repeated and adjacent keys, unknown
 # sections and a line without a value
 STRAY_LINES = [("run", "smaples = 5"), ("run", "step = 1e-3"), ("drive", "frequency = explicit"),
@@ -1199,14 +1274,26 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
+def _out_of_range(spot, argv):
+    """The out-of-range values of a spot; none where an override replaces its value (an omega
+    key under --epsilon, an adjacent one under --resonant) or for a list item with a comma."""
+    (where, *_), key, _ = spot
+    if key.startswith("omega_") and ("--epsilon" in argv or "--resonant" in argv
+                                     and key in ("omega_0_1", "omega_1_2")):
+        return []
+    values = OUT_OF_RANGE_FOR.get("omega" if key.startswith("omega_") else key, [])
+    return [value for value in values if where != "list" or "," not in value]
+
+
 @st.composite
 def cli_draws(draw):
     """(INI {(section, key): text}, stray INI lines, argv, names).
 
-    A clean draw holds usable values but one, which no parser reads; ``names`` are its key
-    and the flag a refusal of it may name instead.  Any other draw (``names`` None) has up to
-    two faults: a missing key, a stray INI line, a stray flag or a nasty value.  argv holds
-    "{cfg}" for the INI file, and it and the INI values hold "{tmp}" for a scratch directory.
+    A clean draw holds usable values but one, which no parser reads or which parses but is
+    out of range; ``names`` are its key and the flag a refusal of it may name instead.  Any
+    other draw (``names`` None) has up to two faults: a missing key, a stray INI line, a stray
+    flag or a nasty value.  argv holds "{cfg}" for the INI file, and it and the INI values hold
+    "{tmp}" for a scratch directory.
     """
     command = draw(st.sampled_from(["spectrum", *ACCEPTS]))
     clean = draw(st.booleans())
@@ -1263,7 +1350,11 @@ def cli_draws(draw):
     for flag, items in lists.items():
         key = "solver" if flag == "--solvers" else _last(argv, "--param").split(".")[1]
         spots += [(("list", flag, j), key, flag) for j in range(len(items))]
-    if clean:
+    ranged = [spot for spot in spots if _out_of_range(spot, argv)]
+    if clean and ranged and draw(st.booleans()):
+        where, *names = spot = draw(st.sampled_from(ranged))
+        spoilt = [(where, draw(st.sampled_from(_out_of_range(spot, argv))))]
+    elif clean:
         where, *names = draw(st.sampled_from([spot for spot in spots if spot[1] != "output"]))
         spoilt = [(where, draw(st.sampled_from(UNPARSABLE[KIND.get(names[0], "float")])))]
     else:

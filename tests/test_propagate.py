@@ -2,6 +2,9 @@ import ast
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -680,6 +683,28 @@ def test_rk4_oracle_imports_no_closed_form_code():
             closure.add(module)
             todo.extend(_package_imports(module))
     assert not closure & {"spectral", "exact", "dyson"}, closure
+
+
+# each line: the package's modules loaded, then those it holds as attributes
+LOADED = """import sys, nlevel_rabi.propagate
+def show(package=sys.modules["nlevel_rabi"]):
+    names = sorted(m.split(".")[1] for m in sys.modules if m.startswith("nlevel_rabi."))
+    print(*names, "|", *(m for m in names if hasattr(package, m)))
+show()
+import nlevel_rabi.cli
+show()
+"""
+
+
+def test_importing_the_rk4_oracle_loads_no_closed_form_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(nlevel_rabi.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", LOADED], env=env, capture_output=True,
+                            text=True, check=True)
+    oracle, cli = result.stdout.splitlines()
+    assert oracle == "model propagate | model propagate"
+    # the CLI loads every module, and bench/spans.py looks each up on the package
+    assert cli == ("cli dyson exact model propagate spectral | "
+                   "cli dyson exact model propagate spectral")
 
 
 def test_step_schedule_is_built_one_chunk_at_a_time():
