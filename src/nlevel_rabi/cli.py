@@ -108,8 +108,9 @@ class RunConfig:
         if psi0.n != levels.n:
             raise ConfigError(f"initial state must have {levels.n} amplitudes")
         if 16 * self.samples * levels.n > np.iinfo(np.intp).max:  # numpy cannot size the grid
-            raise MemoryError(f"Unable to allocate {16.0 * self.samples * levels.n:.3g} bytes "
-                              f"for {self.samples} samples of {levels.n} amplitudes")
+            # integers only: a float of samples would overflow past 308 digits
+            raise MemoryError(f"Unable to allocate {self.samples} samples of {levels.n} "
+                              "amplitudes (16 bytes each)")
         spacing = self.t_max / (self.samples - 1)  # samples is sized above: no overflow
         if spacing < np.finfo(float).tiny:  # a normal spacing repeats no time
             raise ConfigError(f"t_max / (samples - 1) = {spacing:.3g} is below the smallest "
@@ -225,7 +226,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if "epsilon" in ov:
         if levels.n != 3:
             raise ConfigError("--epsilon is the n=3 detuning knob")
-        pair_keys[(0, 2)] = float(levels.deltas[2]) + float(ov["epsilon"])
+        epsilon = float(ov["epsilon"])
+        pair_keys[(0, 2)] = omega = float(levels.deltas[2]) + epsilon
+        if not 0 < omega < np.inf:  # refused here, naming the flag, not the key it sets
+            raise ConfigError(f"--epsilon {epsilon:g} gives omega_0_2 = {omega:g}; drive "
+                              "frequencies must be positive and finite")
 
     omega = (dict(apply_resonance(levels, run["g"], nonadjacent=pair_keys).omega)
              if mode == "resonant" else pair_keys)
@@ -284,13 +289,23 @@ FILE_KEYS = {"levels": {"energies"},
              "run": {k for k, (sec, *_) in RUN_KEYS.items() if sec == "run"}}
 
 
+def _sample_grid(cfg: RunConfig) -> np.ndarray:
+    """cfg's sample times, ``samples`` of them evenly from 0 to ``t_max``.
+
+    Near the largest float, linspace's product for the last time overflows before
+    linspace sets that time to ``t_max``, so its overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, cfg.t_max, cfg.samples)
+
+
 def run_solver(cfg: RunConfig) -> Trajectory:
     """Run cfg's solver once over the whole time grid and return the trajectory.
 
     A grid with an amplitude or population that is not finite (a closed form whose
     floats overflow, say) fails as NumericFailure, without numpy's warnings on the way.
     """
-    grid = np.linspace(0.0, cfg.t_max, cfg.samples)
+    grid = _sample_grid(cfg)
     with np.errstate(all="ignore"):
         states = SOLVER_TABLE[cfg.solver](cfg, grid)
         finite = np.isfinite(np.abs(states) ** 2).all(axis=1)
@@ -348,7 +363,7 @@ def _run_all(cfgs, finish, pool_map=map) -> list:
         try:
             results = ([run_solver(first)] if len(task) == 1 else integrate_stack(
                 [_h_fn(cfgs[idx]) for idx in task], [cfgs[idx].psi0 for idx in task],
-                np.linspace(0.0, first.t_max, first.samples), first.integrator))
+                _sample_grid(first), first.integrator))
         except _FAILURES as exc:  # a whole stack's failure (one that cannot allocate) is each run's
             results = [exc] * len(task)
         return [(idx, finish(idx, result)) for idx, result in zip(task, results)]
@@ -380,7 +395,8 @@ def cmd_spectrum(args) -> int:
     if n < 2:
         raise ConfigError("--n must be at least 2")
     if 8 * n * n > np.iinfo(np.intp).max:
-        raise MemoryError(f"Unable to allocate {8.0 * n * n:.3g} bytes for the basis of n = {n}")
+        # integers only: a float of n would overflow past 308 digits
+        raise MemoryError(f"Unable to allocate the n x n basis of n = {n} (8 bytes an entry)")
     dec = decompose(n)
     c = coupling_matrix(n)
     print("# closed-form eigenvalues lambda_j = 2*cos(pi*j/(n+1))")

@@ -216,10 +216,14 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
     is the float the next step starts at is that step's H(t), so it is built
     only for the chunk's last step and the few clipped steps whose t + h rounds
     off the grid point.  The increments of all steps and runs are built in one
-    batched pass; the states then advance with one (B, n, n) @ (B, n, 1)
-    product per step.  The identity is kept out of D: I + D would round its
-    diagonal at every step.  Each run's states equal its solo ``integrate`` bit
-    for bit.
+    batched pass, with the step factors c h and h/6 cast to complex once per
+    chunk; the states then advance with one product per step.  A stack of
+    several runs copies their H(t) arrays into one stage buffer and advances
+    with the (B, n, n) @ (B, n, 1) matmul; a stack of one run uses its H(t)
+    array as ``h_fn`` returns it and advances with ``ndarray.dot`` on the
+    (n, n) and (n, 1) views, which makes the same BLAS call on the same
+    operands.  The identity is kept out of D: I + D would round its diagonal
+    at every step.  Each run's states equal its solo ``integrate`` bit for bit.
 
     Returns one entry per run: its ``Trajectory``, or the ``NumericFailure``
     or ``StepBudgetExceeded`` that a solo run would raise (returned, not
@@ -242,13 +246,17 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
     states = [psi[None, :, :, 0]]  # (grid points, run, n) blocks
     failures = [None] * runs
     steps_used = 0
-    # stage Hamiltonians (time, run, n, n), step increments, stages and stage arguments
-    # (step, run, n, n), and the states a chunk passes through (step, run, n, 1), refilled
-    # per chunk; one buffer each keeps the peak memory at one chunk's matrices
-    stack = np.empty((3 * chunk, runs, n, n), dtype=complex)
+    # stage Hamiltonians (time, run, n, n) of a stack of runs, step increments, stages and
+    # stage arguments (step, run, n, n), and the states a chunk passes through (step, run, n, 1),
+    # refilled per chunk; one buffer each keeps the peak memory at one chunk's matrices
+    stack = np.empty((3 * chunk, runs, n, n), dtype=complex) if runs > 1 else None
     work = np.empty((3, chunk, runs, n, n), dtype=complex)
     path = np.empty((chunk + 1, runs, n, 1), dtype=complex)
     path[0] = psi
+    # one run advances by the 2-D product on its (n, n) and (n, 1) views, a stack by matmul
+    # over runs; both are the same BLAS call on the same operands, so the same bits
+    incs, psis, product = ((work[0], path, np.matmul) if runs > 1 else
+                           (work[0, :, 0], path[:, 0], np.ndarray.dot))
     # out-of-range states are caught below; numpy's overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _schedule(t_grid, cfg.step, chunk):
@@ -262,15 +270,23 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
             ends = ts + hs
             own = np.flatnonzero(ends[:-1] != ts[1:])
             times = np.concatenate((ts, ends[-1:], ts + 0.5 * hs, ends[own]))
-            for b, h_fn in enumerate(h_fns):
-                stack[: len(times), b] = h_fn(times)
-            h_start, h_end = stack[:todo], stack[1 : todo + 1]
-            h_mid, h_own = stack[todo + 1 : 2 * todo + 1], stack[2 * todo + 1 : len(times)]
-            h, (inc, k, x) = hs[:, None, None, None], work[:, :todo]
+            if stack is None:  # one run: its H(t) array as h_fn returns it
+                hams = np.ascontiguousarray(h_fns[0](times), dtype=complex)[:, None]
+            else:
+                for b, h_fn in enumerate(h_fns):
+                    stack[: len(times), b] = h_fn(times)
+                hams = stack
+            h_start, h_end = hams[:todo], hams[1 : todo + 1]
+            h_mid, h_own = hams[todo + 1 : 2 * todo + 1], hams[2 * todo + 1 : len(times)]
+            # the step factors c h and h/6, computed as floats and cast to complex128 once, so
+            # that no stage multiply casts them on the fly (complex h/6 would round differently)
+            half, full, sixth = (f.astype(complex)[:, None, None, None]
+                                 for f in (0.5 * hs, hs, hs / 6.0))
+            inc, k, x = work[:, :todo]
             np.multiply(-1j, h_start, out=inc)  # K1; inc then sums the stages in place
-            for c, weight, ham, prev in ((0.5, 2.0, h_mid, inc), (0.5, 2.0, h_mid, k),
-                                         (1.0, 1.0, h_end, k)):
-                np.multiply(c * h, prev, out=x)
+            for ch, weight, ham, prev in ((half, 2.0, h_mid, inc), (half, 2.0, h_mid, k),
+                                          (full, 1.0, h_end, k)):
+                np.multiply(ch, prev, out=x)
                 x += eye
                 np.matmul(ham, x, out=k)
                 if ham is h_end and own.size:
@@ -278,9 +294,10 @@ def integrate_stack(h_fns, psi0s, t_grid, cfg: IntegratorConfig) -> list:
                 k *= -1j  # K2, K3, K4 = -iH (I + c h K_prev)
                 np.multiply(weight, k, out=x)
                 inc += x
-            inc *= h / 6.0
-            for d, now, nxt in zip(inc, path, path[1:]):
-                np.add(now, d @ now, out=nxt)
+            inc *= sixth
+            for d, now, nxt in zip(incs[:todo], psis, psis[1:]):
+                product(d, now, out=nxt)
+                nxt += now  # now + D now, added in place
             steps_used += todo
             # (step, run): total probability below 2; NaN compares False, so it fails too
             in_range = (np.abs(path[1 : todo + 1]) ** 2).sum(axis=(2, 3)) < 2.0

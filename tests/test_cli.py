@@ -627,6 +627,7 @@ def test_a_value_that_does_not_parse_is_refused_naming_its_key(tmp_path, capsys,
     assert not outdir.exists()
 
 
+BAD_OMEGA = "drive frequencies must be positive and finite"
 TINY_SPACING = ("t_max / (samples - 1) = 0 is below the smallest normal float, so sample times "
                 "may repeat")
 # id -> (argv, write_config keywords, message): a value that parses but is out of range,
@@ -660,6 +661,15 @@ OUT_OF_RANGE = {
                         "numeric-rwa"], {}, TINY_SPACING),
     "tiny-t-max-sweep": (["sweep", "{cfg}", "--param", "run.t_max", "--values", "1,5e-324",
                           "--outdir", "{out}"], {}, TINY_SPACING),
+    # --epsilon sets omega_0_2 = E_2 + epsilon, so its refusal names the flag, on every command
+    "epsilon-negative": (["evolve", "{cfg}", "--epsilon", "-5"], {},
+                         "--epsilon -5 gives omega_0_2 = -3; " + BAD_OMEGA),
+    "epsilon-cancels": (["compare", "{cfg}", "--solvers", "exact,numeric-rwa", "--epsilon", "-2"],
+                        {}, "--epsilon -2 gives omega_0_2 = 0; " + BAD_OMEGA),
+    "epsilon-nan": (["exact-check", "{cfg}", "--epsilon", "nan"], {},
+                    "--epsilon nan gives omega_0_2 = nan; " + BAD_OMEGA),
+    "epsilon-inf": (SWEEP + ["--epsilon", "inf"], {}, "--epsilon inf gives omega_0_2 = inf; "
+                    + BAD_OMEGA),
 }
 
 
@@ -686,15 +696,13 @@ RESONANT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0}
 def test_an_accepted_grid_never_repeats_a_time(drawn):
     samples, t_max = drawn
     try:
-        RunConfig(energies=(0.0, 1.0, 2.0), g=0.1, omega=RESONANT, solver="exact", t_max=t_max,
-                  samples=samples, initial=(1.0, 0.0, 0.0))
+        cfg = RunConfig(energies=(0.0, 1.0, 2.0), g=0.1, omega=RESONANT, solver="exact",
+                        t_max=t_max, samples=samples, initial=(1.0, 0.0, 0.0))
     except ConfigError as exc:
         assert str(exc).startswith("t_max / (samples - 1) = ")
         assert t_max / (samples - 1) < TINY
         return
-    with np.errstate(over="ignore"):  # linspace's last time may overflow before it is set to t_max
-        grid = np.linspace(0.0, t_max, samples)
-    assert (np.diff(grid) > 0).all()
+    assert (np.diff(cli._sample_grid(cfg)) > 0).all()
 
 
 def test_resonant_flag_replaces_adjacent_frequencies_of_an_explicit_file(tmp_path, capsys):
@@ -1104,13 +1112,17 @@ def test_dyson2_sweep_too_long_to_allocate_is_recorded_in_the_manifest(tmp_path,
     assert json.loads(err[0])["error"] == "memory"
 
 
-# sizes whose arrays numpy cannot even size: one past the int64 range, and int64's largest
+# sizes whose arrays numpy cannot even size: one past the int64 range, int64's largest, and
+# 401 digits, past the float range too
 @pytest.mark.parametrize("argv", [["evolve", "{cfg}", "--samples", "99999999999999999999"],
                                   ["evolve", "{cfg}", "--samples", "9223372036854775807"],
+                                  ["evolve", "{cfg}", "--samples", "1" + "0" * 400],
                                   ["spectrum", "--n", "99999999999999999999"],
+                                  ["spectrum", "--n", "1" + "0" * 400],
                                   ["sweep", "{cfg}", "--param", "run.samples", "--values",
                                    "3,9223372036854775807", "--outdir", "{out}"]],
-                         ids=["samples-past-int64", "samples-int64-max", "spectrum-n", "sweep"])
+                         ids=["samples-past-int64", "samples-int64-max", "samples-past-float",
+                              "spectrum-n", "spectrum-n-past-float", "sweep"])
 def test_size_numpy_cannot_allocate_exits_4_with_one_json_line(tmp_path, capsys, argv):
     outdir = tmp_path / "out"
     argv = [a.format(cfg=write_config(tmp_path), out=outdir) for a in argv]
@@ -1123,6 +1135,23 @@ def test_size_numpy_cannot_allocate_exits_4_with_one_json_line(tmp_path, capsys,
     doc = json.loads(err)
     assert doc["error"] == "memory" and doc["message"].startswith("Unable to allocate ")
     assert not outdir.exists()
+
+
+# the largest float as t_max: linspace's product for the last time overflows before linspace
+# sets it to t_max; neither a closed-form run nor an RK4 stack may warn on the way to its failure
+@pytest.mark.parametrize("argv", [["evolve", "{cfg}", "--solver", "exact"],
+                                  ["sweep", "{cfg}", "--param", "drive.g", "--values", "0.1,0.2",
+                                   "--solver", "numeric-rwa", "--max-steps", "10",
+                                   "--outdir", "{out}"]], ids=["evolve", "rk4-stack"])
+def test_a_t_max_near_the_largest_float_fails_as_numeric_without_a_warning(tmp_path, capsys,
+                                                                           argv):
+    cfg = write_config(tmp_path, samples="4", t_max=repr(float(np.finfo(float).max)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(cfg=cfg, out=tmp_path / "out") for a in argv]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "numeric"
 
 
 def test_importing_the_cli_leaves_concurrent_futures_to_sweep():

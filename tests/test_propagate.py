@@ -738,7 +738,12 @@ def _assert_stack_matches_per_step_loop(members, grid, cfg):
         _assert_matches_reference(result, _reference_integrate(h_fn, psi0, grid, cfg))
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+# a stack advances by matmul and each solo run by ndarray.dot; a BLAS build whose two calls
+# round differently at some n fails here
+STACK_SIZES = [2, 3, 4, 5, 8, 12, 16]
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
 @pytest.mark.parametrize("steps", [1, 64, 65, 129, "chunk-1", "chunk", "chunk+1"])
 def test_stack_members_match_per_step_loop(n, steps):
     members = _stack_members(n)
@@ -755,7 +760,7 @@ def test_stack_members_match_per_step_loop(n, steps):
 
 @pytest.mark.parametrize("grid, step", [(np.linspace(0.0, 2.9, 8), 0.0123),
                                         ([0.0, 1.0, 2.0], 0.1)], ids=["clipped", "rounding"])
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", STACK_SIZES)
 def test_stack_members_match_per_step_loop_on_clipped_grid(n, grid, step):
     _assert_stack_matches_per_step_loop(_stack_members(n), grid, IntegratorConfig(step=step))
 
