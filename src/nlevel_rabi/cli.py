@@ -441,6 +441,15 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--solvers takes exactly two names, got {args.solvers!r}")
     base = load_config(args.config, _flag_overrides(args))
     cfgs = [replace(base, solver=name) for name in solvers]
+    cosine = {}  # the report's record of a numeric-full leg run against an RWA leg
+    if solvers.count("numeric-full") == 1:
+        # an RWA coupling g is a cosine drive of amplitude 2g, so the cosine leg drives 2g
+        g = cosine["numeric_full_g"] = 2 * base.g
+        if g == np.inf:
+            raise ConfigError(f"g: numeric-full runs at 2g against an RWA solver, and 2g of "
+                              f"g = {base.g!r} overflows")
+        k = solvers.index("numeric-full")
+        cfgs[k] = replace(cfgs[k], g=g)
     _check_rk4_flags(args, cfgs)
     _check_output(base.output)
     trajs = _run_all(cfgs, lambda idx, result: result)
@@ -449,7 +458,7 @@ def cmd_compare(args) -> int:
             raise result
     from . import csvtext  # compiled on the first write, not at every start-up
 
-    doc = {"solvers": solvers, "config": base.to_dict(), "report": compare(*trajs)}
+    doc = {"solvers": solvers, "config": base.to_dict(), **cosine, "report": compare(*trajs)}
     with _opened(base.output if base.output is not None else sys.stdout) as fh:
         csvtext.dump_json(doc, fh)
         fh.write("\n")

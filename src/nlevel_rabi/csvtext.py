@@ -93,36 +93,30 @@ def dump_json(doc, fh):
         texts = json.dumps(doc, indent=2, default=hole).split(json.dumps(marker))
         if len(texts) == len(arrays) + 1:
             break
-    # an array's span is (its first cell, its end, its cells, the table row of each cell of
-    # one top-level element)
-    spans, rows, size = [], [], 0
-    for j, cells in enumerate(arrays):
+    # every array's cells in one stream, and the table row of the text after each cell
+    cells, ids, rows = [np.empty(0)], [np.empty(0, dtype=np.intp)], []
+    for j, array in enumerate(arrays):
         line = texts[j].rpartition("\n")[2]  # its hole's line, indented two spaces a level
-        opening, seps, closing = _brackets((len(line) - len(line.lstrip(" "))) // 2, cells.ndim)
+        opening, seps, closing = _brackets((len(line) - len(line.lstrip(" "))) // 2, array.ndim)
         texts[j] += opening
         texts[j + 1] = closing + texts[j + 1]
-        closes = np.zeros(cells.size // len(cells), dtype=np.intp)
-        for n in itertools.accumulate(cells.shape[:0:-1], operator.mul):
+        closes = np.full(array.size, len(rows), dtype=np.intp)
+        for n in itertools.accumulate(array.shape[:0:-1], operator.mul):
             closes[n - 1 :: n] += 1
-        spans.append((size, size + cells.size, cells.reshape(-1), closes + len(rows)))
+        closes[-1] += 1  # the last cell closes every axis: _END
+        cells.append(array.reshape(-1))
+        ids.append(closes)
         rows += seps
-        size += cells.size
+    cells, ids = np.concatenate(cells), np.concatenate(ids)
     width = max(map(len, rows), default=0)
     table = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows),
                           dtype=np.uint8).reshape(len(rows), width)
     block = _BLOCK_BYTES // (_CELL_BYTES + width)
     after = iter(texts[1:])
     fh.write(texts[0])
-    for lo in range(0, size, block):
-        x, ids = [], []
-        for begin, end, cells, closes in spans:
-            start, stop = max(lo, begin) - begin, min(lo + block, end) - begin
-            if start < stop:
-                i = np.arange(start, stop)
-                x.append(cells[start:stop])
-                ids.append(closes.take(i % len(closes)) + (i == len(cells) - 1))
-        out, _ = slots(np.concatenate(x), shortest=True)
-        text = np.concatenate((out[:, :45], table.take(np.concatenate(ids), axis=0)), axis=1)
+    for lo in range(0, len(cells), block):
+        out, _ = slots(cells[lo : lo + block], shortest=True)
+        text = np.concatenate((out[:, :45], table.take(ids[lo : lo + block], axis=0)), axis=1)
         head, *parts = text.tobytes().translate(None, b"\0").decode("ascii").split(_END)
         fh.write(head)
         for part in parts:

@@ -26,7 +26,6 @@ functions of t, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -200,31 +199,19 @@ def _pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-@lru_cache
-def _mirror_index(n: int) -> np.ndarray:
-    """Source of each entry of a flattened n x n matrix in (upper, conj(upper)).
+def _hermitian(diag, upper, i, j) -> np.ndarray:
+    """diag(diag) plus upper[..., p] at (i[p], j[p]) and its conjugate at (j[p], i[p]).
 
-    Entry (i, j) of the p-th pair takes upper[p], entry (j, i) its conjugate;
-    diagonal entries point at 0 and are overwritten.
+    The package's one pair builder: a fresh C-contiguous complex array of shape
+    upper.shape[:-1] + (n, n), its leading (time) axes those of ``upper``; ``diag`` has
+    n values on its last axis, which may carry those leading axes too.  Zero, then the
+    diagonal, then the pairs: each entry a copy of the value it is given.
     """
-    i, j = np.array(_pairs(n)).T
-    index = np.zeros(n * n, dtype=np.intp)
-    index[i * n + j] = np.arange(len(i))
-    index[j * n + i] = np.arange(len(i)) + len(i)
-    index.flags.writeable = False  # cached: every caller shares this array
-    return index
-
-
-def _hermitian(diag: np.ndarray, upper) -> np.ndarray:
-    """diag(diag) plus ``upper`` on the pairs i < j and its conjugate on j > i.
-
-    ``upper`` holds one value per pair in ``_pairs`` order on its last axis; its
-    leading (time) axes carry over, giving shape upper.shape[:-1] + (n, n).
-    """
-    n = len(diag)
-    both = np.concatenate((upper, upper.conj()), axis=-1, dtype=complex)
-    m = both.take(_mirror_index(n), axis=-1)
+    n = np.shape(diag)[-1]
+    m = np.zeros(upper.shape[:-1] + (n * n,), dtype=complex)
     m[..., :: n + 1] = diag
+    m[..., i * n + j] = upper
+    m[..., j * n + i] = upper.conj()
     return m.reshape(upper.shape[:-1] + (n, n))
 
 
@@ -238,8 +225,8 @@ def _pair_drive(name: str, levels: LevelSpec, drive: DriveSpec, rwa: bool, frame
         raise ConfigError("level count and drive dimension disagree")
     if drive.rwa != rwa:
         raise ConfigError(f"{name} requires {'an RWA drive' if rwa else 'rwa=False'}")
-    diag, g = levels.deltas - frame, drive.g
-    return lambda t: _hermitian(diag, g * wave(np.multiply.outer(t, rates)))
+    diag, g, (i, j) = levels.deltas - frame, drive.g, np.array(_pairs(drive.n)).T
+    return lambda t: _hermitian(diag, g * wave(np.multiply.outer(t, rates)), i, j)
 
 
 def full_hamiltonian(levels: LevelSpec, drive: DriveSpec) -> HamiltonianFn:
@@ -265,10 +252,8 @@ def rotating_frame(drive: DriveSpec, t) -> np.ndarray:
     One n x n matrix per time: shape t.shape + (n, n).
     """
     phases = np.exp(1j * np.multiply.outer(t, rotating_frame_phases(drive)))
-    u = np.zeros(phases.shape + (drive.n,), dtype=complex)  # zeros, not phases * I: no -0.0
-    k = np.arange(drive.n)
-    u[..., k, k] = phases
-    return u
+    # zeros off the diagonal, where phases * I would give -0.0; no pairs
+    return _hermitian(phases, phases[..., :0], *np.empty((2, 0), dtype=np.intp))
 
 
 def to_lab_frame(drive: DriveSpec, t, states) -> np.ndarray:
@@ -325,10 +310,6 @@ def is_resonant(levels: LevelSpec, drive: DriveSpec) -> bool:
 
 def residual_coupling(det: Detunings, t) -> np.ndarray:
     """R(t): exp(+-i*eps_ij*t) on the detuned pairs (j - i >= 2), else 0; t.shape + (n, n)."""
-    r = np.zeros(np.shape(t) + (det.n, det.n), dtype=complex)
-    if det.eps:
-        i, j = np.array(list(det.eps)).T
-        phase = np.exp(np.multiply.outer(t, 1j * np.array(list(det.eps.values()))))
-        r[..., i, j] = phase
-        r[..., j, i] = phase.conj()
-    return r
+    i, j = np.array(list(det.eps), dtype=np.intp).reshape(-1, 2).T
+    phase = np.exp(np.multiply.outer(t, 1j * np.array(list(det.eps.values()))))
+    return _hermitian(np.zeros(det.n), phase, i, j)

@@ -146,6 +146,7 @@ def test_compare_exact_vs_numeric(tmp_path, capsys):
                  "--output", str(report_path)]) == 0
     doc = json.loads(report_path.read_text())
     assert doc["solvers"] == ["exact", "numeric-rwa"]
+    assert "numeric_full_g" not in doc  # two RWA legs: both at the file's g
     assert doc["report"]["max_population_dev"] < 1e-6
 
 
@@ -670,6 +671,10 @@ OUT_OF_RANGE = {
                     "--epsilon nan gives omega_0_2 = nan; " + BAD_OMEGA),
     "epsilon-inf": (SWEEP + ["--epsilon", "inf"], {}, "--epsilon inf gives omega_0_2 = inf; "
                     + BAD_OMEGA),
+    # compare runs a numeric-full leg against an RWA leg at 2g
+    "twice-g-overflows": (["compare", "{cfg}", "--solvers", "exact,numeric-full"], {"g": "1e308"},
+                          "g: numeric-full runs at 2g against an RWA solver, and 2g of "
+                          "g = 1e+308 overflows"),
 }
 
 
@@ -832,11 +837,24 @@ def test_compare_runs_two_rk4_legs_as_one_stack(tmp_path, monkeypatch):
                  "--output", str(stacked)]) == 0
     assert sizes == [2]
     base = load_config(cfg, {"output": str(stacked)})
-    report = cli.compare(*(run_solver(replace(base, solver=name))
-                           for name in ("numeric-rwa", "numeric-full")))
+    # the cosine leg drives amplitude 2g, the RWA coupling g's cosine
+    report = cli.compare(run_solver(replace(base, solver="numeric-rwa")),
+                         run_solver(replace(base, solver="numeric-full", g=2 * base.g)))
     doc = {"solvers": ["numeric-rwa", "numeric-full"], "config": base.to_dict(),
-           "report": {**report, "table": report["table"].tolist()}}
+           "numeric_full_g": 2 * base.g, "report": {**report, "table": report["table"].tolist()}}
     assert stacked.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("solvers", ["numeric-rwa,numeric-full", "numeric-full,exact"])
+def test_compare_runs_the_cosine_leg_at_twice_the_rwa_coupling(tmp_path, solvers):
+    # CI's run.ini: the ladder 0, 1, 2 at g = 0.1 to t = 20.  With both legs at g, the
+    # populations part by 0.866; at 2g, by the RWA's own error of about g/omega = 0.1
+    cfg = write_config(tmp_path, t_max="20.0", samples="101")
+    out = tmp_path / "report.json"
+    assert main(["compare", cfg, "--solvers", solvers, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["config"]["g"], doc["numeric_full_g"]) == (0.1, 0.2)
+    assert doc["report"]["max_population_dev"] < 0.1
 
 
 # (--values, [drive] keys, statuses in run order, exit code): the sweep exits with the
@@ -1183,10 +1201,12 @@ def test_compare_legs_start_from_the_state_evolve_uses(tmp_path):
     out = tmp_path / "report.json"
     solvers = ["numeric-rwa", "numeric-full"]
     assert main(["compare", cfg, "--solvers", ",".join(solvers), "--output", str(out)]) == 0
-    solo = [run_solver(load_config(cfg, {"solver": name})) for name in solvers]
+    # the cosine leg at 2g, as compare runs it against an RWA leg
+    solo = [run_solver(load_config(cfg, {"solver": "numeric-rwa"})),
+            run_solver(load_config(cfg, {"solver": "numeric-full", "g": "0.2"}))]
     report = cli.compare(*solo)
     doc = {"solvers": solvers, "config": load_config(cfg, {"output": str(out)}).to_dict(),
-           "report": {**report, "table": report["table"].tolist()}}
+           "numeric_full_g": 0.2, "report": {**report, "table": report["table"].tolist()}}
     assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Property tests: every pair-matrix builder is Hermitian and equals a per-pair loop."""
+"""Property tests: each pair builder equals a per-pair loop; each Hamiltonian is Hermitian."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from nlevel_rabi.model import (
     full_hamiltonian,
     full_hamiltonian_nonrwa,
     residual_coupling,
+    rotating_frame,
     rotating_frame_phases,
     transformed_hamiltonian,
 )
@@ -35,7 +36,8 @@ times = st.one_of(
 
 
 def loop_reference(n, diag, values, entry, t):
-    """Fill each pair (i, j) by hand with entry(value, t) and mirror its conjugate."""
+    """Put diag[k] at (k, k), fill each pair (i, j) by hand with entry(value, t) and mirror
+    its conjugate."""
     m = np.zeros(np.shape(t) + (n, n), dtype=complex)
     for k in range(n):
         m[..., k, k] = diag[k]
@@ -46,7 +48,7 @@ def loop_reference(n, diag, values, entry, t):
 
 
 def builders(config, t):
-    """(name, built matrix, loop reference) for each of the four pair-matrix builders."""
+    """(name, built matrix, loop reference) for each of the five pair-matrix builders."""
     levels, nonadjacent, g = config
     n, zeros = levels.n, np.zeros(levels.n)
     rwa = apply_resonance(levels, g, nonadjacent=nonadjacent)
@@ -64,15 +66,25 @@ def builders(config, t):
          loop_reference(n, levels.deltas, cosine.omega, lambda w, t: g * np.cos(w * t), t)),
         ("R", residual_coupling(det, t),
          loop_reference(n, zeros, det.eps, lambda e, t: np.exp(1j * e * t), t)),
+        # the frame unitary: phase k at (k, k) for each time, and no pairs
+        ("U", rotating_frame(rwa, t),
+         loop_reference(n, [np.exp(1j * w * t) for w in rotating_frame_phases(rwa)], {}, None, t)),
     ]
 
 
 @settings(max_examples=60, deadline=None)
 @given(configs(), times)
 def test_pair_builders_are_hermitian(config, t):
+    n = config[0].n
     for name, m, _ in builders(config, t):
-        assert m.shape == np.shape(t) + (config[0].n,) * 2, name
-        assert np.array_equal(m, np.conj(np.swapaxes(m, -1, -2))), name
+        assert m.shape == np.shape(t) + (n, n), name
+        assert m.dtype == complex and m.flags.c_contiguous, name
+        if name == "U":  # unit phases on the diagonal, +0.0 off it (no -0.0 parts)
+            assert np.allclose(abs(np.diagonal(m, axis1=-2, axis2=-1)), 1.0)
+            off = m[..., ~np.eye(n, dtype=bool)]
+            assert not (np.signbit(off.real) | np.signbit(off.imag)).any()
+        else:
+            assert np.array_equal(m, np.conj(np.swapaxes(m, -1, -2))), name
 
 
 @settings(max_examples=60, deadline=None)
