@@ -382,12 +382,12 @@ def _check_output(path):
         raise ConfigError(f"output directory of {path} does not exist")
 
 
-def _write_trajectory(traj: Trajectory, cfg: RunConfig):
-    target = cfg.output if cfg.output is not None else sys.stdout
+def _write_trajectory(traj: Trajectory, cfg: RunConfig, output):
+    target = output if output is not None else sys.stdout
     if cfg.format == "csv":
         traj.to_csv(target)
     else:
-        traj.to_json(target, config=cfg.to_dict())
+        traj.to_json(target, config={**cfg.to_dict(), "output": output})
 
 
 def cmd_spectrum(args) -> int:
@@ -416,12 +416,26 @@ def _check_rk4_flags(args, cfgs):
         raise ConfigError("--step and --max-steps need a numeric-rwa or numeric-full run")
 
 
+def _runs(args, base: RunConfig, key: str, texts) -> tuple:
+    """base with run key ``key`` set from each text, and the runs' numeric_full_g record: an RWA
+    coupling g is a cosine drive of amplitude 2g, so numeric-full runs at 2g beside RWA runs."""
+    cfgs = [replace(base, **{key: _run_value(key, text, base.levels.n)}) for text in texts]
+    _check_rk4_flags(args, cfgs)
+    if len({cfg.drive.rwa for cfg in cfgs}) < 2:
+        return cfgs, {}
+    g = 2 * base.g
+    if g == np.inf:
+        raise ConfigError(f"g: numeric-full runs at 2g against an RWA solver, and 2g of "
+                          f"g = {base.g!r} overflows")
+    return [cfg if cfg.drive.rwa else replace(cfg, g=g) for cfg in cfgs], {"numeric_full_g": g}
+
+
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config, _flag_overrides(args))
     _check_rk4_flags(args, [cfg])
     _check_output(cfg.output)
     traj = run_solver(cfg)
-    _write_trajectory(traj, cfg)
+    _write_trajectory(traj, cfg, cfg.output)
     print(f"# solver={cfg.solver} samples={cfg.samples} norm_drift={traj.norm_drift():.3g}",
           file=sys.stderr)
     return EXIT_OK
@@ -440,17 +454,7 @@ def cmd_compare(args) -> int:
     if len(solvers) != 2:
         raise ConfigError(f"--solvers takes exactly two names, got {args.solvers!r}")
     base = load_config(args.config, _flag_overrides(args))
-    cfgs = [replace(base, solver=name) for name in solvers]
-    cosine = {}  # the report's record of a numeric-full leg run against an RWA leg
-    if solvers.count("numeric-full") == 1:
-        # an RWA coupling g is a cosine drive of amplitude 2g, so the cosine leg drives 2g
-        g = cosine["numeric_full_g"] = 2 * base.g
-        if g == np.inf:
-            raise ConfigError(f"g: numeric-full runs at 2g against an RWA solver, and 2g of "
-                              f"g = {base.g!r} overflows")
-        k = solvers.index("numeric-full")
-        cfgs[k] = replace(cfgs[k], g=g)
-    _check_rk4_flags(args, cfgs)
+    cfgs, cosine = _runs(args, base, "solver", solvers)
     _check_output(base.output)
     trajs = _run_all(cfgs, lambda idx, result: result)
     for result in trajs:
@@ -482,8 +486,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError(f"--values {args.values!r} holds no values")
     # every value is resolved, and so refused, before anything is written
-    cfgs = [replace(base, **{key: _run_value(key, text, base.levels.n)}) for text in values]
-    _check_rk4_flags(args, cfgs)
+    cfgs, cosine = _runs(args, base, key, values)
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -496,7 +499,7 @@ def cmd_sweep(args) -> int:
         entry = {"index": idx, "param": args.param, "value": cfg.to_dict()[key]}
         if not isinstance(result, Exception):
             try:
-                _write_trajectory(result, replace(cfg, output=str(path)))
+                _write_trajectory(result, cfg, str(path))
             except OSError as exc:
                 result = exc
             else:
@@ -511,7 +514,7 @@ def cmd_sweep(args) -> int:
     # --jobs caps the tasks that run at once; one task may be a whole RK4 stack
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         entries = _run_all(cfgs, finish, pool.map)
-    manifest = {"config": base.to_dict(), "param": args.param, "runs": entries}
+    manifest = {"config": base.to_dict(), "param": args.param, **cosine, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     failed = [entry for entry in entries if entry["status"] != "ok"]
     if failed:

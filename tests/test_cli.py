@@ -631,6 +631,8 @@ def test_a_value_that_does_not_parse_is_refused_naming_its_key(tmp_path, capsys,
 BAD_OMEGA = "drive frequencies must be positive and finite"
 TINY_SPACING = ("t_max / (samples - 1) = 0 is below the smallest normal float, so sample times "
                 "may repeat")
+TWICE_G_OVERFLOWS = ("g: numeric-full runs at 2g against an RWA solver, and 2g of g = 1e+308 "
+                     "overflows")
 # id -> (argv, write_config keywords, message): a value that parses but is out of range,
 # refused naming its key
 OUT_OF_RANGE = {
@@ -673,8 +675,11 @@ OUT_OF_RANGE = {
                     + BAD_OMEGA),
     # compare runs a numeric-full leg against an RWA leg at 2g
     "twice-g-overflows": (["compare", "{cfg}", "--solvers", "exact,numeric-full"], {"g": "1e308"},
-                          "g: numeric-full runs at 2g against an RWA solver, and 2g of "
-                          "g = 1e+308 overflows"),
+                          TWICE_G_OVERFLOWS),
+    # and so does a solver sweep that mixes the two, before --outdir exists
+    "twice-g-overflows-sweep": (["sweep", "{cfg}", "--param", "run.solver", "--values",
+                                 "exact,numeric-full", "--outdir", "{out}"], {"g": "1e308"},
+                                TWICE_G_OVERFLOWS),
 }
 
 
@@ -756,6 +761,11 @@ def _record_stacks(monkeypatch):
     return sizes
 
 
+def _cosine_g(manifest, solver):
+    """evolve's --g for a sweep's run of solver: a numeric-full run beside RWA runs drives 2g."""
+    return ["--g", repr(manifest["numeric_full_g"])] if solver == "numeric-full" else []
+
+
 # sweep key -> (--values, the evolve flag that sets one value, sizes of the RK4 stacks)
 STACKED_SWEEPS = {
     "drive.g": ("0.05,0.1,0.2", "--g", [3]),
@@ -775,10 +785,11 @@ def test_stacked_sweep_runs_match_solo_evolve(tmp_path, monkeypatch, param, jobs
     assert main(["sweep", cfg, "--param", param, "--values", values, "--outdir", str(outdir),
                  "--jobs", jobs]) == 0
     assert sizes == stacks
-    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
-    for run, value in zip(runs, values.split(",")):
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    for run, value in zip(manifest["runs"], values.split(",")):
         solo = tmp_path / f"solo_{run['index']}.csv"
-        assert main(["evolve", cfg, flag, value, "--output", str(solo)]) == 0
+        assert main(["evolve", cfg, flag, value, *_cosine_g(manifest, value),
+                     "--output", str(solo)]) == 0
         assert (outdir / run["file"]).read_bytes() == solo.read_bytes()
 
 
@@ -817,15 +828,17 @@ def test_solver_sweep_with_a_step_matches_solo_runs(tmp_path):
     solvers = ["exact", "numeric-rwa", "numeric-full"]
     assert main(["sweep", cfg, "--param", "run.solver", "--values", ",".join(solvers),
                  "--step", "1e-3", "--outdir", str(outdir)]) == 0
-    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
-    for run, solver in zip(runs, solvers):
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    for run, solver in zip(manifest["runs"], solvers):
         swept = (outdir / run["file"]).read_bytes()
         solo = tmp_path / f"solo_{solver}.csv"
         step = ["--step", "1e-3"] if solver != "exact" else []
-        assert main(["evolve", cfg, "--solver", solver, *step, "--output", str(solo)]) == 0
+        g = _cosine_g(manifest, solver)
+        assert main(["evolve", cfg, "--solver", solver, *step, *g, "--output", str(solo)]) == 0
         assert swept == solo.read_bytes()
-        # a config loaded with the step carries it to run_solver
-        run_solver(load_config(cfg, {"solver": solver, "step": 1e-3})).to_csv(solo)
+        # a config loaded with the step (and the run's g) carries it to run_solver
+        overrides = {"solver": solver, "step": 1e-3, "g": g[1] if g else "200"}
+        run_solver(load_config(cfg, overrides)).to_csv(solo)
         assert swept == solo.read_bytes()
 
 
@@ -855,6 +868,41 @@ def test_compare_runs_the_cosine_leg_at_twice_the_rwa_coupling(tmp_path, solvers
     doc = json.loads(out.read_text())
     assert (doc["config"]["g"], doc["numeric_full_g"]) == (0.1, 0.2)
     assert doc["report"]["max_population_dev"] < 0.1
+
+
+def test_a_mixed_solver_sweep_runs_the_cosine_drive_compare_runs(tmp_path):
+    # CI's run.ini swept over two solvers: the numeric-full run drives 2g, as compare's
+    # cosine leg does, so the two runs part by the RWA's own error, not by 0.866
+    cfg = write_config(tmp_path, t_max="20.0", samples="101")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "run.solver", "--values", "numeric-rwa,numeric-full",
+                 "--format", "json", "--outdir", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert (manifest["config"]["g"], manifest["numeric_full_g"]) == (0.1, 0.2)
+    rwa, full = (json.loads((outdir / run["file"]).read_text()) for run in manifest["runs"])
+    assert (rwa["config"]["g"], full["config"]["g"]) == (0.1, 0.2)
+    assert np.max(np.abs(np.subtract(rwa["populations"], full["populations"]))) < 0.1
+    solo = tmp_path / "solo.json"
+    assert main(["evolve", cfg, "--solver", "numeric-full", "--g", "0.2", "--format", "json",
+                 "--output", str(solo)]) == 0
+    assert json.loads(solo.read_text())["states"] == full["states"]  # floats read back from repr
+
+
+def test_a_sweep_writes_each_run_from_the_config_it_ran(tmp_path, monkeypatch):
+    # load_config builds one RunConfig and the sweep one per run; no run is rebuilt to name
+    # its file, which its JSON provenance records all the same
+    built = []
+    post_init = RunConfig.__post_init__
+    monkeypatch.setattr(RunConfig, "__post_init__",
+                        lambda self: built.append(self.g) or post_init(self))
+    cfg = write_config(tmp_path, samples="3", fmt="json")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.05,0.1,0.2",
+                 "--outdir", str(outdir)]) == 0
+    assert built == [0.1, 0.05, 0.1, 0.2]
+    for run in json.loads((outdir / "manifest.json").read_text())["runs"]:
+        doc = json.loads((outdir / run["file"]).read_text())
+        assert doc["config"]["output"] == str(outdir / run["file"])
 
 
 # (--values, [drive] keys, statuses in run order, exit code): the sweep exits with the
