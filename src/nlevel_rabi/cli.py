@@ -342,15 +342,15 @@ def _violations(violations) -> list:
     return [{"pair": list(ij), "epsilon": v} for ij, v in violations]
 
 
-def _run_all(cfgs, finish, pool_map=map) -> list:
+def _run_all(cfgs, finish, jobs=1) -> list:
     """finish(index, result) for every cfg, where result is its Trajectory or the refusal
     or failure of its run.
 
     RK4 runs (numeric-rwa and numeric-full alike) that share n, t_max, samples
     and integrator settings form one task, solved as one RK4 stack; every
-    other run is a task of its own.  The tasks go through ``pool_map``.
-    finish runs in the task's worker, so a sweep writes each trajectory and
-    drops it as its task ends; finish's values come back in the order of cfgs.
+    other run is a task of its own.  They run on the calling thread when there is one task or
+    jobs = 1, else on a pool of min(jobs, tasks) threads.  finish runs in the task's thread, so
+    a sweep writes each trajectory and drops it as its task ends; finish's values keep cfgs' order.
     """
     tasks = {}
     for idx, cfg in enumerate(cfgs):
@@ -368,7 +368,13 @@ def _run_all(cfgs, finish, pool_map=map) -> list:
             results = [exc] * len(task)
         return [(idx, finish(idx, result)) for idx, result in zip(task, results)]
 
-    done = dict(itertools.chain.from_iterable(pool_map(run, tasks.values())))
+    if (workers := min(jobs, len(tasks))) == 1:
+        results = map(run, tasks.values())
+    else:  # imported here, not at the top: concurrent.futures pulls in logging
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, tasks.values()))
+    done = dict(itertools.chain.from_iterable(results))
     return [done[idx] for idx in range(len(cfgs))]
 
 
@@ -508,12 +514,7 @@ def cmd_sweep(args) -> int:
         return {**entry, "status": _status(result), "error": str(result), "file": None,
                 "norm_drift": None}
 
-    # imported here, not at the top: concurrent.futures pulls in logging, and only sweep uses it
-    from concurrent.futures import ThreadPoolExecutor
-
-    # --jobs caps the tasks that run at once; one task may be a whole RK4 stack
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        entries = _run_all(cfgs, finish, pool.map)
+    entries = _run_all(cfgs, finish, args.jobs)
     manifest = {"config": base.to_dict(), "param": args.param, **cosine, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     failed = [entry for entry in entries if entry["status"] != "ok"]

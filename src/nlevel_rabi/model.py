@@ -12,7 +12,9 @@ Conventions (fixed throughout the package):
 * Drive phases are zero.
 * The RWA coupling g already absorbs the factor 1/2 from splitting the
   cosine, so an RWA run with coupling g corresponds physically to a cosine
-  drive of amplitude 2g.  Cross-mode comparisons must apply that factor.
+  drive of amplitude 2g.  Cross-mode comparisons must apply that factor:
+  ``compare`` and mixed ``run.solver`` sweeps run numeric-full at 2g
+  (``cli._runs``); ``evolve --solver numeric-full`` reads g as the amplitude.
 
 Note on the cosine drive: the three-level source problem is sometimes written
 with "cos(i*omega*t)", which taken literally is a cosh and would make the

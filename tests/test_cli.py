@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -1220,12 +1221,61 @@ def test_a_t_max_near_the_largest_float_fails_as_numeric_without_a_warning(tmp_p
     assert json.loads(err[0])["error"] == "numeric"
 
 
+def _fresh_python(code, *argv):
+    """stdout of ``code`` run in a new interpreter that imports the package under test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_importing_the_cli_leaves_concurrent_futures_to_sweep():
     code = "import sys, nlevel_rabi.cli; print('concurrent.futures' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout == "False\n"
+    assert _fresh_python(code) == "False\n"
+
+
+def test_a_one_task_sweep_leaves_concurrent_futures_unimported(tmp_path):
+    # drive.g over numeric-rwa is one RK4 stack: it runs on the calling thread, so no pool is
+    # made and concurrent.futures (which pulls in logging) is never imported
+    cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.5", samples="7")
+    code = ("import sys, nlevel_rabi.cli as cli; code = cli.main(sys.argv[1:]); "
+            "print(code, 'concurrent.futures' in sys.modules)")
+    assert _fresh_python(code, "sweep", cfg, "--param", "drive.g", "--values", "0.05,0.1,0.2",
+                         "--jobs", "4", "--outdir", str(tmp_path / "sweep")) == "0 False\n"
+
+
+def _record_writer_threads(monkeypatch):
+    """The thread each run file is written on, in the order written."""
+    threads = []
+    write = cli._write_trajectory
+    monkeypatch.setattr(cli, "_write_trajectory",
+                        lambda *args: threads.append(threading.current_thread()) or write(*args))
+    return threads
+
+
+def test_a_one_task_sweep_writes_its_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    threads = _record_writer_threads(monkeypatch)
+    cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.5", samples="7")
+    assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.05,0.1,0.2", "--jobs", "4",
+                 "--outdir", str(tmp_path / "sweep")]) == 0
+    assert threads == [threading.current_thread()] * 3
+
+
+def test_a_two_task_sweep_writes_from_pool_threads_the_bytes_one_job_writes(tmp_path,
+                                                                           monkeypatch):
+    # two t_max values are two RK4 stacks: --jobs 1 runs them on the calling thread, --jobs 2
+    # on a pool
+    threads = _record_writer_threads(monkeypatch)
+    cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.5", samples="7")
+    files = {}
+    for jobs in ("1", "2"):
+        outdir = tmp_path / f"jobs-{jobs}"
+        assert main(["sweep", cfg, "--param", "run.t_max", "--values", "1,1.5", "--jobs", jobs,
+                     "--outdir", str(outdir)]) == 0
+        files[jobs] = {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+    main_thread = threading.current_thread()
+    assert threads[:2] == [main_thread] * 2
+    assert len(threads) == 4 and main_thread not in threads[2:]
+    assert len(files["2"]) == 3 and files["2"] == files["1"]
 
 
 def _bits(amp):
