@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import itertools
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -342,23 +341,23 @@ def _violations(violations) -> list:
     return [{"pair": list(ij), "epsilon": v} for ij, v in violations]
 
 
-def _run_all(cfgs, finish, jobs=1) -> list:
+def _run_all(cfgs, finish) -> list:
     """finish(index, result) for every cfg, where result is its Trajectory or the refusal
     or failure of its run.
 
     RK4 runs (numeric-rwa and numeric-full alike) that share n, t_max, samples
     and integrator settings form one task, solved as one RK4 stack; every
-    other run is a task of its own.  They run on the calling thread when there is one task or
-    jobs = 1, else on a pool of min(jobs, tasks) threads.  finish runs in the task's thread, so
-    a sweep writes each trajectory and drops it as its task ends; finish's values keep cfgs' order.
+    other run is a task of its own.  The tasks run one after another on the calling thread,
+    and finish runs as each task ends, so a sweep writes each trajectory and drops it before
+    the next task starts; finish's values keep cfgs' order.
     """
     tasks = {}
     for idx, cfg in enumerate(cfgs):
         key = idx if cfg.integrator is None else (cfg.levels.n, cfg.t_max, cfg.samples,
                                                    cfg.integrator)
         tasks.setdefault(key, []).append(idx)
-
-    def run(task):
+    done = {}
+    for task in tasks.values():
         first = cfgs[task[0]]
         try:
             results = ([run_solver(first)] if len(task) == 1 else integrate_stack(
@@ -366,15 +365,7 @@ def _run_all(cfgs, finish, jobs=1) -> list:
                 _sample_grid(first), first.integrator))
         except _FAILURES as exc:  # a whole stack's failure (one that cannot allocate) is each run's
             results = [exc] * len(task)
-        return [(idx, finish(idx, result)) for idx, result in zip(task, results)]
-
-    if (workers := min(jobs, len(tasks))) == 1:
-        results = map(run, tasks.values())
-    else:  # imported here, not at the top: concurrent.futures pulls in logging
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks.values()))
-    done = dict(itertools.chain.from_iterable(results))
+        done.update((idx, finish(idx, result)) for idx, result in zip(task, results))
     return [done[idx] for idx in range(len(cfgs))]
 
 
@@ -487,6 +478,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--{key.replace('_', '-')} sets {args.param!r}, which --values sweeps")
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
+    if not args.outdir:  # Path("") is the working directory
+        raise ConfigError("--outdir is empty; it must name a directory")
     base = load_config(args.config, _flag_overrides(args))
     values = args.values.replace(",", " ").split()
     if not values:
@@ -514,7 +507,7 @@ def cmd_sweep(args) -> int:
         return {**entry, "status": _status(result), "error": str(result), "file": None,
                 "norm_drift": None}
 
-    entries = _run_all(cfgs, finish, args.jobs)
+    entries = _run_all(cfgs, finish)
     manifest = {"config": base.to_dict(), "param": args.param, **cosine, "runs": entries}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     failed = [entry for entry in entries if entry["status"] != "ok"]
@@ -586,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, help="key to sweep, e.g. drive.g")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="at least 1; changes nothing: every sweep runs on the calling thread")
     return parser
 
 

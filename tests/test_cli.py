@@ -498,6 +498,7 @@ REFUSED = {
     "compare-output-missing-dir": (["compare", "{cfg}", "--solvers", "exact,numeric-rwa",
                                     "--output", "{out}/r.json"], {}),
     "sweep-outdir-is-a-file": (SWEEP[:-1] + ["{cfg}"], {}),
+    "sweep-outdir-empty": (SWEEP[:-1] + [""], {}),
     # initial states that do not fit the run, and a ground-state-only solver from level 1
     "initial-index-out-of-range": (["evolve", "{cfg}", "--initial", "7"], {}),
     "initial-list-too-short": (["evolve", "{cfg}", "--initial", "1, 0"], {}),
@@ -541,7 +542,10 @@ REFUSED = {
 
 
 @pytest.mark.parametrize("argv, config", REFUSED.values(), ids=REFUSED.keys())
-def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, argv, config):
+def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, monkeypatch, argv, config):
+    cwd = tmp_path / "cwd"  # an empty working directory, where nothing may be written either
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     if isinstance(config, (str, bytes)):
         cfg = tmp_path / "run.ini"
         (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
@@ -554,6 +558,7 @@ def test_refused_argv_exits_2_with_one_json_line(tmp_path, capsys, argv, config)
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "config"
     assert not outdir.exists()
+    assert not any(cwd.iterdir())
 
 
 def test_sweep_refusal_of_a_flag_names_the_flag_and_the_param(tmp_path, capsys):
@@ -1233,13 +1238,13 @@ def test_importing_the_cli_leaves_concurrent_futures_to_sweep():
     assert _fresh_python(code) == "False\n"
 
 
-def test_a_one_task_sweep_leaves_concurrent_futures_unimported(tmp_path):
-    # drive.g over numeric-rwa is one RK4 stack: it runs on the calling thread, so no pool is
-    # made and concurrent.futures (which pulls in logging) is never imported
+def test_a_two_task_sweep_leaves_concurrent_futures_unimported(tmp_path):
+    # two t_max values are two RK4 stacks; every sweep runs its tasks on the calling thread,
+    # whatever --jobs says, so concurrent.futures (which pulls in logging) is never imported
     cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.5", samples="7")
     code = ("import sys, nlevel_rabi.cli as cli; code = cli.main(sys.argv[1:]); "
             "print(code, 'concurrent.futures' in sys.modules)")
-    assert _fresh_python(code, "sweep", cfg, "--param", "drive.g", "--values", "0.05,0.1,0.2",
+    assert _fresh_python(code, "sweep", cfg, "--param", "run.t_max", "--values", "1,1.5",
                          "--jobs", "4", "--outdir", str(tmp_path / "sweep")) == "0 False\n"
 
 
@@ -1260,22 +1265,19 @@ def test_a_one_task_sweep_writes_its_runs_on_the_calling_thread(tmp_path, monkey
     assert threads == [threading.current_thread()] * 3
 
 
-def test_a_two_task_sweep_writes_from_pool_threads_the_bytes_one_job_writes(tmp_path,
-                                                                           monkeypatch):
-    # two t_max values are two RK4 stacks: --jobs 1 runs them on the calling thread, --jobs 2
-    # on a pool
+def test_a_two_task_sweep_writes_every_run_on_the_calling_thread_at_any_jobs(tmp_path,
+                                                                            monkeypatch):
+    # two t_max values are two RK4 stacks; --jobs is accepted and changes nothing
     threads = _record_writer_threads(monkeypatch)
     cfg = write_config(tmp_path, solver="numeric-rwa", t_max="1.5", samples="7")
     files = {}
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "4"):
         outdir = tmp_path / f"jobs-{jobs}"
         assert main(["sweep", cfg, "--param", "run.t_max", "--values", "1,1.5", "--jobs", jobs,
                      "--outdir", str(outdir)]) == 0
         files[jobs] = {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
-    main_thread = threading.current_thread()
-    assert threads[:2] == [main_thread] * 2
-    assert len(threads) == 4 and main_thread not in threads[2:]
-    assert len(files["2"]) == 3 and files["2"] == files["1"]
+    assert threads == [threading.current_thread()] * 6
+    assert len(files["1"]) == 3 and files["1"] == files["2"] == files["4"]
 
 
 def _bits(amp):
