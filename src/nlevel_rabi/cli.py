@@ -56,7 +56,6 @@ from .propagate import (
     NumericFailure,
     StepBudgetExceeded,
     Trajectory,
-    _opened,
     compare,
     integrate,
     integrate_stack,
@@ -379,6 +378,13 @@ def _check_output(path):
         raise ConfigError(f"output directory of {path} does not exist")
 
 
+def _dump_json(doc, output):
+    """Write ``doc`` as JSON to the file ``output``, or to stdout when it is None."""
+    from . import csvtext  # compiled on the first write, not at every start-up
+
+    csvtext.dump_json(doc, sys.stdout if output is None else output)
+
+
 def _write_trajectory(traj: Trajectory, cfg: RunConfig, output):
     target = output if output is not None else sys.stdout
     if cfg.format == "csv":
@@ -457,12 +463,8 @@ def cmd_compare(args) -> int:
     for result in trajs:
         if isinstance(result, Exception):
             raise result
-    from . import csvtext  # compiled on the first write, not at every start-up
-
     doc = {"solvers": solvers, "config": base.to_dict(), **cosine, "report": compare(*trajs)}
-    with _opened(base.output if base.output is not None else sys.stdout) as fh:
-        csvtext.dump_json(doc, fh)
-        fh.write("\n")
+    _dump_json(doc, base.output)
     return EXIT_OK
 
 
@@ -509,7 +511,7 @@ def cmd_sweep(args) -> int:
 
     entries = _run_all(cfgs, finish)
     manifest = {"config": base.to_dict(), "param": args.param, **cosine, "runs": entries}
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _dump_json(manifest, outdir / "manifest.json")
     failed = [entry for entry in entries if entry["status"] != "ok"]
     if failed:
         # the smallest exit code among the failed runs: config, io 2 < consistency 3 < numeric,

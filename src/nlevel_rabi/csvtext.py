@@ -1,6 +1,8 @@
 """Text of float64 arrays in numpy, byte for byte: ``"%.17g" % x`` for CSV, ``repr(x)`` for JSON.
 
-JSON's layout is ``json.dumps``'s own text; the kernel writes only the cells of its arrays.
+``dump_csv`` and ``dump_json`` write every trajectory, compare report and sweep manifest to
+a path or an open text stream, and end it.  JSON's layout is ``json.dumps``'s own text; the
+kernel writes only the cells of its arrays.
 
 A nonzero |x| in [1e-200, 1e200] has the decimal exponent E = floor(log10 |x|), and
 V = |x| 10^(16 - E) = w + frac is formed as a double-double: Dekker's exact product of
@@ -38,6 +40,7 @@ it ("100.0"), and zero is "0.0".  Deleting the NUL bytes leaves the text.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -68,8 +71,21 @@ def lines(table):
         yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def dump_json(doc, fh):
-    """Write ``json.dumps(doc, indent=2)`` to the text stream ``fh``, byte for byte.
+def _opened(target):
+    """``target`` if it is an open text stream, else the file at path ``target`` opened to write."""
+    return contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "w")
+
+
+def dump_csv(header, table, target):
+    """Write the CSV line of column names ``header``, then ``lines(table)``, to ``target``."""
+    with _opened(target) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines(table))
+
+
+def dump_json(doc, target):
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``target``, byte for byte; a ``doc``
+    that ``json.dumps`` refuses leaves the file at a path ``target`` as it was.
 
     Float64 ndarrays in ``doc`` are written as their nested lists, each cell in repr's
     spelling (``NaN`` and ``Infinity`` where not finite).  ``json.dumps`` writes the layout,
@@ -89,8 +105,8 @@ def dump_json(doc, fh):
 
     for salt in itertools.count():
         marker, arrays = f"\x01{salt}", []
-        # texts[j] comes before array j and texts[-1] after the last
-        texts = json.dumps(doc, indent=2, default=hole).split(json.dumps(marker))
+        # texts[j] comes before array j, and texts[-1], newline and all, after the last
+        texts = f"{json.dumps(doc, indent=2, default=hole)}\n".split(json.dumps(marker))
         if len(texts) == len(arrays) + 1:
             break
     # every array's cells in one stream, and the table row of the text after each cell
@@ -113,15 +129,16 @@ def dump_json(doc, fh):
                           dtype=np.uint8).reshape(len(rows), width)
     block = _BLOCK_BYTES // (_CELL_BYTES + width)
     after = iter(texts[1:])
-    fh.write(texts[0])
-    for lo in range(0, len(cells), block):
-        out, _ = slots(cells[lo : lo + block], shortest=True)
-        text = np.concatenate((out[:, :45], table.take(ids[lo : lo + block], axis=0)), axis=1)
-        head, *parts = text.tobytes().translate(None, b"\0").decode("ascii").split(_END)
-        fh.write(head)
-        for part in parts:
-            fh.write(next(after))
-            fh.write(part)
+    with _opened(target) as fh:
+        fh.write(texts[0])
+        for lo in range(0, len(cells), block):
+            out, _ = slots(cells[lo : lo + block], shortest=True)
+            text = np.concatenate((out[:, :45], table.take(ids[lo : lo + block], axis=0)), axis=1)
+            head, *parts = text.tobytes().translate(None, b"\0").decode("ascii").split(_END)
+            fh.write(head)
+            for part in parts:
+                fh.write(next(after))
+                fh.write(part)
 
 
 @functools.cache

@@ -234,9 +234,10 @@ def first_order_state_3(g: float, eps: float, t) -> np.ndarray:
     s = np.sin(sg * t)
     ch = np.cos(g * t / _SQRT2)
     sh = np.sin(g * t / _SQRT2)
+    se = np.sin(eps * t)
     scale = max(sg, abs(eps))
 
-    sinc = _ratio(np.sin(eps * t), eps, t, scale)
+    sinc = _ratio(se, eps, t, scale)
     # shared by x1 and x3
     t1 = _ratio(s + np.sin((sg + eps) * t), 2.0 * sg + eps, t * c, scale)
     t2 = _ratio(s + np.sin((sg - eps) * t), 2.0 * sg - eps, t * c, scale)
@@ -254,8 +255,8 @@ def first_order_state_3(g: float, eps: float, t) -> np.ndarray:
         -1j * s / _SQRT2
         - _SQRT2 * g / 4.0 * s * sinc
         + 1j * _SQRT2 * g / 4.0 * (
-            _ratio(np.sin(eps * t) + s, sg + eps, t * c, scale)
-            + _ratio(np.sin(eps * t) - s, sg - eps, -t * c, scale)
+            _ratio(se + s, sg + eps, t * c, scale)
+            + _ratio(se - s, sg - eps, -t * c, scale)
         )
         - _SQRT2 * g / 8.0 * (
             _ratio(np.cos((sg + eps) * t) - c, 2.0 * sg + eps, t * s, scale)

@@ -2,12 +2,12 @@
 
 Nothing here touches the closed-form machinery in `spectral` or `exact`; this
 module exists to cross-check it.  The integrator never renormalizes, so norm
-drift stays visible as an error meter.
+drift stays visible as an error meter.  It opens no file: a trajectory builds its
+CSV table or JSON document and hands it to `csvtext`, which writes it.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +69,10 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=complex)
-        times.flags.writeable = False
-        states.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        for name, dtype in (("times", float), ("states", complex)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -90,29 +88,24 @@ class Trajectory:
     def to_csv(self, target):
         """CSV with header t, re_0, im_0, ..., p_0, ...; 17 significant digits.
 
-        Each row is ``",".join("%.17g" % v for v in row)``, byte for byte, made by
-        ``csvtext.lines`` a block of rows at a time.  ``target`` may be a path or an
+        Each row is ``",".join("%.17g" % v for v in row)``, byte for byte: the header and
+        the table go to ``csvtext.dump_csv``, which writes them to ``target``, a path or an
         open text stream.
         """
         from . import csvtext  # compiled on the first write, not at every start-up
 
-        n = self.n
-        header = ["t"]
-        header += [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
-        header += [f"p_{k}" for k in range(n)]
+        header = ["t", *(f"{part}_{k}" for k in range(self.n) for part in ("re", "im")),
+                  *(f"p_{k}" for k in range(self.n))]
         # interleaved (re, im) pairs are the float64 view of the complex states
         table = np.column_stack([self.times, self.states.view(float), self.populations])
-        with _opened(target) as fh:
-            fh.write(",".join(header) + "\n")
-            for text in csvtext.lines(table):
-                fh.write(text)
+        csvtext.dump_csv(header, table, target)
 
     def to_json(self, target, config: dict | None = None):
         """JSON variant carrying the full input configuration as provenance.
 
-        The text is ``json.dump(doc, fh, indent=2)`` and a newline, byte for byte,
-        where doc holds ``config`` (``{}`` if None), ``times``, ``states`` as
-        [re, im] pairs and ``populations``, made by ``csvtext.dump_json``.
+        The text is ``json.dump(doc, fh, indent=2)`` and a newline, byte for byte, where doc
+        holds ``config`` (``{}`` if None), ``times``, ``states`` as [re, im] pairs and
+        ``populations``, written by ``csvtext.dump_json`` to ``target``, a path or a stream.
         """
         from . import csvtext  # compiled on the first write, not at every start-up
 
@@ -120,14 +113,7 @@ class Trajectory:
         doc = {"config": config or {}, "times": self.times,
                "states": self.states.view(float).reshape(len(self.states), self.n, 2),
                "populations": self.populations}
-        with _opened(target) as fh:
-            csvtext.dump_json(doc, fh)
-            fh.write("\n")
-
-
-def _opened(target):
-    """``target`` if it is an open text stream, else the file at path ``target`` opened to write."""
-    return contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "w")
+        csvtext.dump_json(doc, target)
 
 
 def _chunk_length(runs: int, n: int) -> int:

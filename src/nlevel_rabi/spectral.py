@@ -11,7 +11,7 @@ sum ``exp_c_components``) are kept so each can validate the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,20 +29,11 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenvalues (decreasing) and orthogonal eigenbasis of C."""
+class SpectralDecomp(NamedTuple):
+    """Eigenvalues (decreasing) and orthogonal eigenbasis of C, read-only arrays."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-
-    def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float)
-        o = np.array(self.basis, dtype=float)
-        lam.flags.writeable = False
-        o.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "basis", o)
 
 
 def coupling_matrix(n: int) -> np.ndarray:
@@ -80,9 +71,10 @@ def _sine_args(n: int) -> np.ndarray:
 
 def decompose(n: int) -> SpectralDecomp:
     """Closed-form eigen-decomposition C = O diag(lambda) O^T."""
-    _check_n(n)
-    o = math.sqrt(2.0 / (n + 1)) * np.sin(_sine_args(n))
-    return SpectralDecomp(eigenvalues=eigenvalues(n), basis=o)
+    dec = SpectralDecomp(eigenvalues(n), math.sqrt(2.0 / (n + 1)) * np.sin(_sine_args(n)))
+    for array in dec:
+        array.flags.writeable = False
+    return dec
 
 
 def exp_c(n: int, g: float, t) -> np.ndarray:

@@ -281,7 +281,9 @@ def test_failed_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys):
     outdir = tmp_path / "sweep"
     assert main(["sweep", cfg, "--param", "run.t_max", "--values", "1,1e9",
                  "--outdir", str(outdir), "--jobs", "2", "--max-steps", "5000"]) == 4
-    ok, failed = json.loads((outdir / "manifest.json").read_text())["runs"]
+    text = (outdir / "manifest.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"  # the stdlib's text
+    ok, failed = json.loads(text)["runs"]
     assert (ok["status"], ok["error"], ok["file"]) == ("ok", None, "run_000.csv")
     assert (outdir / "run_000.csv").exists()
     assert (failed["index"], failed["value"], failed["status"]) == (1, 1e9, "numeric")
@@ -1233,9 +1235,11 @@ def _fresh_python(code, *argv):
                           text=True, check=True).stdout
 
 
-def test_importing_the_cli_leaves_concurrent_futures_to_sweep():
-    code = "import sys, nlevel_rabi.cli; print('concurrent.futures' in sys.modules)"
-    assert _fresh_python(code) == "False\n"
+def test_importing_the_cli_leaves_concurrent_futures_to_sweep(tmp_path):
+    # nor does loading a config compile the text kernel, which only a write needs
+    code = ("import sys, nlevel_rabi.cli as cli; cli.load_config(sys.argv[1]); "
+            "print('concurrent.futures' in sys.modules, 'nlevel_rabi.csvtext' in sys.modules)")
+    assert _fresh_python(code, write_config(tmp_path)) == "False False\n"
 
 
 def test_a_two_task_sweep_leaves_concurrent_futures_unimported(tmp_path):
@@ -1315,6 +1319,7 @@ def test_compare_with_an_empty_output_writes_the_report_to_stdout(tmp_path, caps
     assert main(["compare", cfg, "--solvers", "exact,exact", "--output", ""]) == 0
     out, err = capsys.readouterr()
     assert (json.loads(out)["solvers"], err) == (["exact", "exact"], "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"  # the stdlib's text
 
 
 def test_compare_writes_its_report_where_the_file_output_key_says(tmp_path, capsys):

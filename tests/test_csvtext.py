@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from test_propagate import JSON_VALUES, NASTY_FLOATS
 
 from nlevel_rabi import csvtext
+from nlevel_rabi.propagate import Trajectory
 
 
 def _neighbours(x, k):
@@ -153,14 +154,14 @@ def _dumped(doc):
 @settings(max_examples=300, deadline=None)
 @given(_dicts(st.one_of(VALUES, _dicts(st.one_of(VALUES, _dicts(VALUES))))))  # dict depths 1-3
 def test_dump_json_is_the_stdlib_indent_2_text(doc):
-    assert _dumped(doc) == json.dumps(_listed(doc), indent=2)
+    assert _dumped(doc) == json.dumps(_listed(doc), indent=2) + "\n"
 
 
 def test_dump_json_salts_its_holes_past_the_strings_of_the_doc():
     # keys and strings that spell the first two markers, alone and after an escaped quote
     doc = {"\x01": np.ones(2), "\x010": ["\x010", np.eye(2), '"\x011'], "a": {"\x011": "\x01"},
            "b": [[np.zeros((1, 2))], "\x010"], "\x012": np.arange(3.0)}
-    assert _dumped(doc) == json.dumps(_listed(doc), indent=2)
+    assert _dumped(doc) == json.dumps(_listed(doc), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [{1.0}, np.arange(3)], ids=["set", "int64-array"])
@@ -169,3 +170,15 @@ def test_dump_json_refuses_what_json_dumps_refuses(value):
         json.dumps(value)
     with pytest.raises(TypeError, match=re.escape(str(expected.value))):
         _dumped({"a": np.ones(2), "b": [value]})
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: csvtext.dump_json({"table": np.ones((2, 2)), "bad": {1.0}}, path),
+    lambda path: Trajectory([0.0, 1.0], np.eye(2)).to_json(path, config={"bad": {1.0}}),
+], ids=["dump_json", "to_json"])
+def test_a_refused_document_leaves_the_file_at_its_path_as_it_was(tmp_path, write):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"an earlier document\n")
+    with pytest.raises(TypeError):
+        write(path)
+    assert path.read_bytes() == b"an earlier document\n"

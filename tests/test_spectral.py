@@ -52,6 +52,9 @@ def test_decompose_two_level():
     np.testing.assert_allclose(
         dec.basis, np.array([[1, 1], [1, -1]]) / SQRT2, atol=1e-15
     )
+    lam, o = dec  # a named pair of read-only arrays
+    assert lam is dec.eigenvalues and o is dec.basis
+    assert not lam.flags.writeable and not o.flags.writeable
 
 
 def test_decompose_three_level_eigenvalues():
