@@ -240,20 +240,17 @@ def _solve_exact(cfg: RunConfig, grid):
     return exact_evolution(cfg.levels, cfg.drive, cfg.psi0, grid)
 
 
-def _solve_dyson1(cfg: RunConfig, grid):
-    if len(cfg.energies) != 3:
-        raise ConfigError("dyson1 uses the closed-form path and requires n = 3")
-    if not np.array_equal(cfg.psi0.amp, [1.0, 0.0, 0.0]):
-        raise ConfigError("dyson1 closed form starts from the ground state")
-    return approximate_solution_3(cfg.levels, cfg.drive, grid)
-
-
-def _solve_dyson2(cfg: RunConfig, grid):
+def _solve_dyson(order: int, cfg: RunConfig, grid):
+    """The Dyson series truncated at ``order``: the paper's closed form at order 1 for n = 3
+    from (1, 0, 0) exactly, Simpson quadrature of the series for every other run."""
     drive = cfg.drive
     if not is_resonant(cfg.levels, drive):
-        raise ConfigError("dyson2 requires the resonance conditions omega_j = E_j - E_{j-1}")
+        raise ConfigError(f"dyson{order} requires the resonance conditions "
+                          "omega_j = E_j - E_{j-1}")
+    if order == 1 and drive.n == 3 and np.array_equal(cfg.psi0.amp, [1.0, 0.0, 0.0]):
+        return approximate_solution_3(cfg.levels, drive, grid)
     det = detunings(drive)
-    dyson_cfg = DysonConfig(order=2, quadrature_step=0.5 * max_quadrature_step(drive.g, det))
+    dyson_cfg = DysonConfig(order, quadrature_step=0.5 * max_quadrature_step(drive.g, det))
     return to_lab_frame(drive, grid, dyson_state(drive.n, drive.g, det, cfg.psi0, grid, dyson_cfg))
 
 
@@ -266,7 +263,8 @@ def _solve_numeric(cfg: RunConfig, grid):
 
 
 # solver name -> fn(cfg, grid) -> states, one row per grid time
-SOLVER_TABLE = {"exact": _solve_exact, "dyson1": _solve_dyson1, "dyson2": _solve_dyson2,
+SOLVER_TABLE = {"exact": _solve_exact, "dyson1": functools.partial(_solve_dyson, 1),
+                "dyson2": functools.partial(_solve_dyson, 2),
                 "numeric-rwa": _solve_numeric, "numeric-full": _solve_numeric}
 
 # run key -> (INI section, fallback text or None if the file must give the key, parse, flag help);

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 import nlevel_rabi.cli as cli
 from nlevel_rabi.cli import (RUN_KEYS, SOLVER_TABLE, SWEEP_KEYS, RunConfig, build_parser,
                               load_config, main, run_solver)
-from nlevel_rabi.model import ConfigError, StateVector
+from nlevel_rabi.dyson import DysonConfig, approximate_solution_3, dyson_state, max_quadrature_step
+from nlevel_rabi.model import (ConfigError, LevelSpec, StateVector, apply_resonance, detunings,
+                               to_lab_frame)
 from nlevel_rabi.csvtext import slots
 from nlevel_rabi.propagate import IntegratorConfig
 
@@ -199,9 +202,106 @@ def test_sweep_writes_manifest(tmp_path):
         assert (outdir / entry["file"]).exists()
 
 
-def test_dyson1_requires_three_levels(tmp_path):
-    cfg = write_config(tmp_path, energies="0.0, 1.0", solver="dyson1", samples="3")
+@pytest.mark.parametrize("initial", ["0", "0.6, 0.8j"])
+def test_dyson1_on_two_levels_is_the_exact_rabi_solution(tmp_path, initial):
+    # at n = 2 no pair is non-adjacent, so R(t) = 0 and the first-order series is exact
+    cfg = load_config(write_config(tmp_path, energies="0.0, 1.0", solver="dyson1",
+                                   samples="41", initial=initial))
+    dyson = run_solver(cfg).states
+    assert np.max(np.abs(dyson - run_solver(replace(cfg, solver="exact")).states)) < 1e-13
+
+
+def _first_order_series(cfg):
+    drive, grid = cfg.drive, np.linspace(0.0, cfg.t_max, cfg.samples)
+    det = detunings(drive)
+    dyson_cfg = DysonConfig(order=1, quadrature_step=0.5 * max_quadrature_step(drive.g, det))
+    return to_lab_frame(drive, grid, dyson_state(drive.n, drive.g, det, cfg.psi0, grid, dyson_cfg))
+
+
+# (write_config keywords) of dyson1 runs off the closed form: four levels with a detuned 0-2
+# drive, and CI's run.ini from level 1
+SERIES_RUNS = {
+    "four-levels": {"energies": "0.0, 1.0, 2.1, 3.3", "g": "0.05",
+                    "extra_drive": "omega_0_2 = 2.4"},
+    "from-level-1": {"t_max": "20.0", "samples": "101", "initial": "1"},
+}
+
+
+@pytest.mark.parametrize("config", SERIES_RUNS.values(), ids=SERIES_RUNS.keys())
+def test_dyson1_runs_the_first_order_series_at_any_n_and_from_any_start(tmp_path, config):
+    cfg = load_config(write_config(tmp_path, **{"samples": "21", **config, "solver": "dyson1"}))
+    assert np.array_equal(run_solver(cfg).states, _first_order_series(cfg))
+
+
+# initial -> whether dyson1 at n = 3 takes the paper's closed form: only from (1, 0, 0) exactly
+CLOSED_FORM_STARTS = {"0": True, "1, 0, 0": True, "1j, 0, 0": False, "-1, 0, 0": False,
+                      "1": False, "1, 1, 0": False}
+
+
+@pytest.mark.parametrize("initial, closed", CLOSED_FORM_STARTS.items(),
+                         ids=CLOSED_FORM_STARTS.keys())
+def test_dyson1_takes_the_closed_form_only_from_the_ground_state(tmp_path, monkeypatch, initial,
+                                                                 closed):
+    cfg = load_config(write_config(tmp_path, solver="dyson1", samples="21", initial=initial))
+    taken = []
+    for name in ("approximate_solution_3", "dyson_state"):
+        solve = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, solve=solve, name=name:
+                            taken.append(name) or solve(*a))
+    states = run_solver(cfg).states
+    assert taken == ["approximate_solution_3" if closed else "dyson_state"]
+    grid = np.linspace(0.0, cfg.t_max, cfg.samples)
+    expected = (approximate_solution_3(cfg.levels, cfg.drive, grid) if closed
+                else _first_order_series(cfg))
+    assert np.array_equal(states, expected)
+
+
+@st.composite
+def dyson_domain_runs(draw):
+    """A numeric-rwa run in the Dyson domain, and its count of non-adjacent pairs: a resonant
+    ladder of 2-5 levels with some non-adjacent pairs detuned by up to 0.5, any start, g in
+    [0.005, 0.05] and g t_max <= 0.5, 41 samples.  Its RK4 step of 2.5e-3 is within 3e-8 of
+    a step of 2.5e-4 on the widest ladder at t = 100."""
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.8, 1.2), min_size=n - 1, max_size=n - 1))
+    energies = tuple(float(e) for e in np.concatenate(([0.0], np.cumsum(gaps))))
+    g = draw(st.floats(0.005, 0.05))
+    pairs = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    detuned = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    nonadjacent = {(i, j): energies[j] - energies[i] + draw(st.floats(-0.5, 0.5))
+                   for i, j in detuned}
+    amps = draw(st.lists(st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)), min_size=n,
+                         max_size=n).filter(lambda amps: np.linalg.norm(amps) > 0.1))
+    drive = apply_resonance(LevelSpec(energies), g, nonadjacent=nonadjacent)
+    cfg = RunConfig(energies=energies, g=g, omega=dict(drive.omega), solver="numeric-rwa",
+                    t_max=draw(st.floats(0.01, 0.5)) / g, samples=41,
+                    initial=tuple(StateVector.normalized(amps).amp), step=2.5e-3)
+    return cfg, len(pairs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(dyson_domain_runs())
+def test_each_dyson_order_stays_within_its_a_priori_remainder_bound(run):
+    # x = g t sqrt(2p) bounds g t ||R(t)|| (R has p pairs of unit entries), and the series cut
+    # after order k leaves at most x^(k+1) e^x / (k+1)!; RK4 adds far less than 1e-6
+    cfg, pairs = run
+    rk4 = run_solver(cfg)
+    x = cfg.g * rk4.times * np.sqrt(2 * pairs)
+    for order in (1, 2):
+        dyson = run_solver(replace(cfg, solver=f"dyson{order}")).states
+        bound = x ** (order + 1) * np.exp(x) / math.factorial(order + 1) + 1e-6
+        assert (np.linalg.norm(dyson - rk4.states, axis=1) <= bound).all()
+
+
+@pytest.mark.parametrize("solver", ["dyson1", "dyson2"])
+def test_both_dyson_orders_refuse_off_resonant_adjacent_drives(tmp_path, capsys, solver):
+    cfg = write_config(tmp_path, frequencies="explicit", solver=solver,
+                       extra_drive="omega_0_1 = 1.3\nomega_1_2 = 1.0\nomega_0_2 = 2.3")
     assert main(["evolve", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "config", "message": f"{solver} requires the resonance "
+                               "conditions omega_j = E_j - E_{j-1}"}
 
 
 def test_dyson1_matches_exact_at_weak_coupling(tmp_path):
@@ -501,10 +601,9 @@ REFUSED = {
                                     "--output", "{out}/r.json"], {}),
     "sweep-outdir-is-a-file": (SWEEP[:-1] + ["{cfg}"], {}),
     "sweep-outdir-empty": (SWEEP[:-1] + [""], {}),
-    # initial states that do not fit the run, and a ground-state-only solver from level 1
+    # initial states that do not fit the run
     "initial-index-out-of-range": (["evolve", "{cfg}", "--initial", "7"], {}),
     "initial-list-too-short": (["evolve", "{cfg}", "--initial", "1, 0"], {}),
-    "dyson1-not-from-ground": (["evolve", "{cfg}", "--solver", "dyson1", "--initial", "1"], {}),
     # a file without t_max, an unknown frequencies mode, and --epsilon on a 4-level ladder
     "no-t-max": (["evolve", "{cfg}"], "[levels]\nenergies = 0.0, 1.0, 2.0\n[drive]\ng = 0.1\n"
                                       "[run]\nsolver = exact\n"),
@@ -913,24 +1012,31 @@ def test_a_sweep_writes_each_run_from_the_config_it_ran(tmp_path, monkeypatch):
         assert doc["config"]["output"] == str(outdir / run["file"])
 
 
-# (--values, [drive] keys, statuses in run order, exit code): the sweep exits with the
-# smallest code among its failed runs
+# four levels; an off-resonant 0-1 drive makes the Dyson solvers refuse, a detuned 0-2 drive
+# makes exact refuse, and a directory made beforehand at a run's file path fails its write
+OFF_RESONANT = {"frequencies": "explicit", "extra_drive": "omega_0_1 = 1.3\nomega_1_2 = 1.1\n"
+                "omega_2_3 = 1.2\nomega_0_2 = 2.1\nomega_1_3 = 2.3\nomega_0_3 = 3.3"}
+DETUNED = {"extra_drive": "omega_0_2 = 2.4"}
+
+# (--values, write_config keywords, statuses in run order, exit code): the sweep exits with
+# the smallest code among its failed runs
 IN_RUN_REFUSALS = {
-    "config": ("exact,dyson1", "", ["ok", "config"], 2),
-    "consistency": ("numeric-rwa,exact", "omega_0_2 = 2.4", ["ok", "consistency"], 3),
-    "all-three": ("exact,numeric-rwa,dyson1", "omega_0_2 = 2.4",
-                  ["consistency", "numeric", "config"], 2),
+    "config": ("numeric-rwa,dyson1", OFF_RESONANT, ["ok", "config"], 2),
+    "consistency": ("numeric-rwa,exact", DETUNED, ["ok", "consistency"], 3),
+    "all-three": ("exact,numeric-rwa,dyson1", DETUNED, ["consistency", "numeric", "io"], 2),
 }
 
 
-@pytest.mark.parametrize("values, drive, statuses, code", IN_RUN_REFUSALS.values(),
+@pytest.mark.parametrize("values, config, statuses, code", IN_RUN_REFUSALS.values(),
                          ids=IN_RUN_REFUSALS.keys())
-def test_refusal_inside_a_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys, values, drive,
+def test_refusal_inside_a_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys, values, config,
                                                                   statuses, code):
-    # four levels, so dyson1 refuses; a detuned 0-2 drive makes exact refuse
     cfg = write_config(tmp_path, energies="0.0, 1.0, 2.1, 3.3", t_max="1.0", samples="3",
-                       extra_drive=drive)
+                       **config)
     outdir = tmp_path / "sweep"
+    for idx, status in enumerate(statuses):
+        if status == "io":
+            (outdir / f"run_{idx:03d}.csv").mkdir(parents=True)
     argv = ["sweep", cfg, "--param", "run.solver", "--values", values, "--outdir", str(outdir),
             "--jobs", "1"]
     if "numeric" in statuses:
@@ -939,7 +1045,7 @@ def test_refusal_inside_a_sweep_run_is_recorded_in_the_manifest(tmp_path, capsys
     runs = json.loads((outdir / "manifest.json").read_text())["runs"]
     assert [run["status"] for run in runs] == statuses
     for run in runs:
-        assert (outdir / f"run_{run['index']:03d}.csv").exists() == (run["status"] == "ok")
+        assert (outdir / f"run_{run['index']:03d}.csv").is_file() == (run["status"] == "ok")
         assert (run["error"] is None) == (run["status"] == "ok")
         assert (run["file"] is None) == (run["status"] != "ok")
     err = capsys.readouterr().err.splitlines()
