@@ -499,7 +499,7 @@ def cmd_sweep(args) -> int:
         if not isinstance(result, Exception):
             try:
                 _write_trajectory(result, cfg, str(path))
-            except OSError as exc:
+            except _FAILURES as exc:
                 result = exc
             else:
                 return {**entry, "status": "ok", "error": None, "file": path.name,

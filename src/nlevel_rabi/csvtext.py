@@ -58,29 +58,22 @@ _BLOCK_BYTES, _CELL_BYTES = 2 ** 20, 512
 _END = "\x01"  # the separator after an array's last cell, and _brackets's cells; in no cell's text
 
 
-def lines(table):
-    """Yield the CSV rows of the 2-D float64 ``table``, a block of rows at a time.
-
-    Each row is ``",".join("%.17g" % v for v in row) + "\\n"``, byte for byte.
-    """
-    rows = max(1, _BLOCK_BYTES // (_CELL_BYTES * table.shape[1]))
-    for start in range(0, len(table), rows):
-        block = table[start : start + rows]
-        out, _ = slots(block.ravel())
-        out[block.shape[1] - 1 :: block.shape[1], 45] = ord("\n")
-        yield out.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def _opened(target):
     """``target`` if it is an open text stream, else the file at path ``target`` opened to write."""
     return contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "w")
 
 
 def dump_csv(header, table, target):
-    """Write the CSV line of column names ``header``, then ``lines(table)``, to ``target``."""
+    """Write the CSV line of column names ``header``, then a line per row of the 2-D float64
+    ``table``, ``",".join("%.17g" % v for v in row)``, byte for byte, to ``target``."""
     with _opened(target) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(lines(table))
+        rows = max(1, _BLOCK_BYTES // (_CELL_BYTES * table.shape[1]))
+        for start in range(0, len(table), rows):
+            block = table[start : start + rows]
+            out, _ = slots(block.ravel())
+            out[block.shape[1] - 1 :: block.shape[1], 45] = ord("\n")
+            fh.write(out.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def dump_json(doc, target):

@@ -112,6 +112,24 @@ def test_exact_check_and_exact_evolve_share_one_tolerance(tmp_path, capsys):
             assert json.loads(err[-1])["error"] == "consistency"
 
 
+# a consistent drive with every adjacent frequency off its gap
+CONSISTENT_OFF_RESONANT = {"frequencies": "explicit",
+                           "extra_drive": "omega_0_1 = 1.02\nomega_1_2 = 0.99\nomega_0_2 = 2.01"}
+
+
+def test_exact_serves_every_drive_exact_check_calls_consistent(tmp_path, capsys):
+    cfg = write_config(tmp_path, samples="21", **CONSISTENT_OFF_RESONANT)
+    assert main(["exact-check", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["satisfied"] is True
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", cfg, "--solver", "exact", "--output", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (21, 10) and np.isfinite(rows).all()
+    report = tmp_path / "report.json"
+    assert main(["compare", cfg, "--solvers", "exact,numeric-rwa", "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["report"]["max_amplitude_dev"] <= 1e-8
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[levels]\nenergies = 2.0, 1.0\n[drive]\ng = 0.1\n[run]\nt_max = 1\n")
@@ -1257,6 +1275,31 @@ def test_sweep_run_that_cannot_allocate_is_recorded_in_the_manifest(tmp_path, ca
     assert len(err) == 1
     assert json.loads(err[0]) == {"error": "memory", "message":
                                   f"sweep runs [0, 1] failed; see {outdir / 'manifest.json'}"}
+
+
+def test_sweep_run_whose_write_cannot_allocate_is_recorded_in_the_manifest(tmp_path, capsys,
+                                                                          monkeypatch):
+    to_json = cli.Trajectory.to_json
+
+    def write(traj, target, config=None):
+        if str(target).endswith("run_001.json"):
+            _cannot_allocate()
+        to_json(traj, target, config)
+
+    monkeypatch.setattr(cli.Trajectory, "to_json", write)
+    cfg = write_config(tmp_path, t_max="1.0", samples="3", fmt="json")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "drive.g", "--values", "0.1,0.2,0.3",
+                 "--outdir", str(outdir)]) == 4
+    runs = json.loads((outdir / "manifest.json").read_text())["runs"]
+    assert [(run["status"], run["file"]) for run in runs] == [
+        ("ok", "run_000.json"), ("memory", None), ("ok", "run_002.json")]
+    assert runs[1]["error"] == "Unable to allocate 298. GiB for an array"
+    assert (outdir / "run_002.json").is_file()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "memory", "message":
+                                  f"sweep runs [1] failed; see {outdir / 'manifest.json'}"}
 
 
 # q = 0.5 on the README config with --epsilon 0.05: 2e18 and 2e19 Simpson nodes, one past

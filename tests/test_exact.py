@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nlevel_rabi.exact import ConsistencyError, check_consistency, exact_evolution, exp_q
 from nlevel_rabi.model import (
-    ConfigError,
     DriveSpec,
     LevelSpec,
     StateVector,
@@ -158,11 +157,27 @@ def test_exact_evolution_rejects_detuned_config():
     assert exc.value.violations[0][0] == (0, 2)
 
 
-def test_exact_evolution_rejects_off_resonance():
+def test_exact_evolution_serves_a_consistent_off_resonant_drive():
     lev = LevelSpec((0.0, 1.0, 2.0))
     drive = DriveSpec(n=3, omega={(0, 1): 0.8, (1, 2): 1.0, (0, 2): 1.8}, g=0.1)
-    with pytest.raises(ConfigError):
-        exact_evolution(lev, drive, StateVector.basis(3, 0), 1.0)
+    psi0 = StateVector.basis(3, 0)
+    grid = np.linspace(0.0, 10.0, 11)
+    rk4 = integrate(full_hamiltonian(lev, drive), psi0, grid, IntegratorConfig(step=1e-3))
+    assert np.max(np.abs(exact_evolution(lev, drive, psi0, grid) - rk4.states)) <= 1e-8
+    assert np.allclose(exact_evolution(lev, drive, psi0, 10.0).amp, rk4.states[-1], atol=1e-8)
+
+
+@pytest.mark.parametrize("omega", [0.9, 1.0, 1.15])
+def test_exact_evolution_on_two_levels_is_the_detuned_rabi_formula(omega):
+    g, energy = 0.2, 1.0
+    lev = LevelSpec((0.0, energy))
+    drive = DriveSpec(n=2, omega={(0, 1): omega}, g=g)
+    times = np.linspace(0.0, 30.0, 61)
+    states = exact_evolution(lev, drive, StateVector.basis(2, 0), times)
+    delta = energy - omega
+    rabi = np.sqrt(delta ** 2 + 4 * g ** 2)
+    p1 = 4 * g ** 2 / rabi ** 2 * np.sin(0.5 * rabi * times) ** 2
+    assert np.max(np.abs(np.abs(states[:, 1]) ** 2 - p1)) <= 1e-12
 
 
 def test_default_tolerance_tracks_frequency_scale():
@@ -226,3 +241,30 @@ def test_a_shift_of_every_energy_leaves_the_states_unchanged(case, c):
     rk4 = integrate_stack([full_hamiltonian(lev, drive) for lev in (levels, shifted)],
                           [psi0, psi0], grid, IntegratorConfig(step=1e-2))
     assert np.max(np.abs(rk4[0].states - rk4[1].states)) <= 1e-12
+
+
+@st.composite
+def consistent_off_resonant_ladders(draw):
+    """A ladder of n in [2, 5] levels, each adjacent drive off its gap by up to 0.1, each
+    non-adjacent one on its chain sum, a random start and a grid to t <= 10."""
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.5, 2.0), min_size=n - 1, max_size=n - 1))
+    offsets = draw(st.lists(st.floats(-0.1, 0.1), min_size=n - 1, max_size=n - 1))
+    adjacent = np.array(gaps) + np.array(offsets)
+    omega = {(i, j): float(adjacent[i:j].sum()) for i in range(n) for j in range(i + 1, n)}
+    levels = LevelSpec(tuple(np.concatenate(([0.0], np.cumsum(gaps)))))
+    drive = DriveSpec(n=n, omega=omega, g=draw(st.floats(0.05, 0.3)))
+    parts = st.floats(-1.0, 1.0)
+    amps = draw(st.lists(st.builds(complex, parts, parts), min_size=n, max_size=n)
+                .filter(lambda a: np.linalg.norm(a) > 0.1))
+    return levels, drive, StateVector.normalized(amps), draw(st.floats(0.1, 10.0))
+
+
+@settings(max_examples=10, deadline=None)
+@given(consistent_off_resonant_ladders())
+def test_exact_matches_rk4_on_consistent_off_resonant_ladders(case):
+    levels, drive, psi0, t_max = case
+    assert check_consistency(drive) == ()
+    grid = np.linspace(0.0, t_max, 11)
+    rk4 = integrate(full_hamiltonian(levels, drive), psi0, grid, IntegratorConfig(step=1e-3))
+    assert np.max(np.abs(exact_evolution(levels, drive, psi0, grid) - rk4.states)) <= 1e-8
